@@ -38,7 +38,6 @@ __all__ = [
     "eta_paths",
     "triple_norm_path",
     "coarsen_samples",
-    "coarsen_Jm",
     "truncate_values",
     "restrict_after",
     "PROCESS_RULES",
@@ -352,14 +351,6 @@ def build_process(cfg: dict | ProcessSpec) -> ProcessSpec:
     if spec.rule in ("coarsen_m", "truncation_n"):
         _inner_spec(spec)
     return spec
-
-
-def coarsen_Jm(realized: RealizedProcess, m: int) -> RealizedProcess:
-    """Delayed block-average coarsening of a realized process."""
-    coarse = coarsen_samples(np.moveaxis(realized.values, 1, -1), realized.grid, m)
-    return RealizedProcess(
-        realized.grid, realized.space, np.moveaxis(coarse, -1, 1), f"{realized.label}+J{m}"
-    )
 
 
 PROCESS_RULES: dict[str, str] = {

@@ -24,6 +24,19 @@ Experiments
 - ``orlicz_bdg``: the two-sided supremum/clock comparison for vector
   integrals in modular form, with refinement, sweep, and norm-agreement
   checks.
+
+Writing a Monte Carlo experiment
+--------------------------------
+Resolve sizes and params with ``_resolve``: every param key it reads has a
+default in ``experiment_defaults``, and ``run_experiment`` rejects any
+other.  Loop once over ``_views(seed, name, coords, grid, replicates,
+batch, factor)``, which yields ``(tag, batch)`` per driver batch; with
+``factor=4`` each batch comes as ``"4n"`` on the fine grid, then as
+``"n"`` coarsened.  In the loop, feed both sides of each inequality to one
+``_Tally`` with ``add(key, lhs, rhs, *bounds)``, listing the bounds whose
+rows should carry the paired slack.  After the loop, build the rows with
+``_Tally.row`` (``reverse=True`` checks rhs against lhs) and take grid
+steps from the views.
 """
 
 from __future__ import annotations
@@ -152,32 +165,75 @@ class QuasiMetric:
 # shared machinery
 
 
-def _batches(seed: int, name: str, coords: int, grid: PathGrid, replicates: int, batch: int):
-    done = 0
-    index = 0
-    while done < replicates:
-        size = min(batch, replicates - done)
-        yield simulate_batch(seed, (name, "batch", index), coords, grid, size)
-        done += size
-        index += 1
-
-
-def _pair_moments():
-    return {"lhs": RunningMoments(), "rhs": RunningMoments(), "diff": RunningMoments()}
-
-
-def _paired_row(label, acc, bound, grid_n, extras=None) -> RatioReport:
-    lhs = acc["lhs"].estimate()
-    rhs = acc["rhs"].estimate()
-    return RatioReport(
-        label=label,
-        lhs=lhs,
-        rhs=rhs,
-        bound=bound,
-        grid_n=grid_n,
-        slack_stderr=acc["diff"].estimate().stderr,
-        extras=extras or {},
+def _resolve(cfg):
+    """Replicates, grid steps and params, each defaulted from ``experiment_defaults``."""
+    defaults = experiment_defaults(cfg.experiment)
+    return (
+        cfg.replicates or defaults["replicates"],
+        cfg.grid_n or defaults["grid_n"],
+        {**defaults["params"], **cfg.params},
     )
+
+
+def _views(seed: int, name: str, coords: int, grid: PathGrid, replicates: int, batch: int,
+           factor: int = 1):
+    """Driver batches as ``(tag, batch)`` in batch-index order.
+
+    Batch ``i`` draws substream ``(name, "batch", i)`` on ``grid`` and is
+    yielded as ``"n"``; with ``factor > 1`` it is yielded as ``"{factor}n"``
+    and then as ``"n"``, the same driver coarsened by ``factor``.
+    """
+    for index, done in enumerate(range(0, replicates, batch)):
+        fine = simulate_batch(seed, (name, "batch", index), coords, grid,
+                              min(batch, replicates - done))
+        if factor == 1:
+            yield "n", fine
+        else:
+            yield f"{factor}n", fine
+            yield "n", fine.coarsened(factor)
+
+
+class _Tally:
+    """Paired moments per key: both sides on shared replicates, plus
+    ``lhs - b * rhs`` for each bound ``b`` a row is checked at."""
+
+    def __init__(self) -> None:
+        self._sides = {}
+        self._diffs = {}
+
+    def add(self, key, lhs, rhs, *bounds) -> None:
+        if key not in self._sides:
+            self._sides[key] = (RunningMoments(), RunningMoments())
+        self._sides[key][0].add(lhs)
+        self._sides[key][1].add(rhs)
+        for b in bounds:
+            self._diffs.setdefault((key, b), RunningMoments()).add(lhs - b * rhs)
+
+    def keys(self):
+        return self._sides.keys()
+
+    def sides(self, key):
+        lhs, rhs = self._sides[key]
+        return lhs.estimate(), rhs.estimate()
+
+    def ratio(self, key) -> float:
+        lhs, rhs = self.sides(key)
+        return lhs.mean / rhs.mean
+
+    def row(self, label, key, bound, grid_n, extras=None, reverse=False) -> RatioReport:
+        """``lhs <= bound * rhs``, or ``rhs <= bound * lhs`` when ``reverse``.
+
+        The slack is paired where the difference at ``bound`` was added.  A
+        reverse row is paired only at bound 1, where it reads the forward
+        difference: negation leaves the stderr bit-exact.
+        """
+        lhs, rhs = self.sides(key)
+        diff = self._diffs.get((key, bound)) if not reverse or bound == 1.0 else None
+        if reverse:
+            lhs, rhs = rhs, lhs
+        return RatioReport(label, lhs, rhs, bound, grid_n,
+                           slack_stderr=None if diff is None else diff.estimate().stderr,
+                           extras=extras or {})
 
 
 def _take_at(paths_like: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -186,9 +242,8 @@ def _take_at(paths_like: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return paths_like[rows, idx]
 
 
-def _stability_rows(prefix, ratio_fine, ratio_coarse, tol, grid_n, extras=None) -> list:
-    ex = dict(extras or {})
-    ex.update({"ratio_fine": ratio_fine, "ratio_coarse": ratio_coarse})
+def _stability_rows(prefix, ratio_fine, ratio_coarse, tol, grid_n) -> list:
+    ex = {"ratio_fine": ratio_fine, "ratio_coarse": ratio_coarse}
     return [
         RatioReport(f"{prefix}:fine-vs-coarse", McEstimate.exact(ratio_fine),
                     McEstimate.exact(ratio_coarse), 1.0 + tol, grid_n, extras=ex),
@@ -197,17 +252,36 @@ def _stability_rows(prefix, ratio_fine, ratio_coarse, tol, grid_n, extras=None) 
     ]
 
 
+def _sweep_rows(pair, tally, ratios, stability_factor, grid_n):
+    """Spread of the sweep ratios and their bitwise invariance under X -> cX,
+    which multiplies both sweep sums by c^2 (the square gauge); returns the
+    rows, the T=1 ratio and whether the invariance held."""
+    r_vals = list(ratios.values())
+    base = ratios[1.0]
+    lhs, rhs = tally.sides(("sweep", 1.0))
+    scaled = [(c**2 * lhs.mean) / (c**2 * rhs.mean) for c in (0.5, 2.0)]
+    exact = all(v == base for v in scaled)
+    rows = [
+        RatioReport(f"sweep:{pair}:spread", McEstimate.exact(max(r_vals)),
+                    McEstimate.exact(min(r_vals)), stability_factor, grid_n),
+        RatioReport(f"scaling-exact:{pair}", McEstimate.exact(max(scaled)),
+                    McEstimate.exact(base), 1.0, grid_n, extras={"scaling_exact": exact}),
+    ]
+    return rows, base, exact
+
+
 # ---------------------------------------------------------------------------
 # analytic experiments
 
 
 def run_young(cfg) -> ExperimentResult:
     """Young's inequality st <= L(s) + comp(t) for strict N-function gauges."""
-    grid_pts = int(cfg.params.get("grid_points", 32))
+    _, _, params = _resolve(cfg)
+    grid_pts = int(params["grid_points"])
     s_grid = np.geomspace(0.05, 20.0, grid_pts)
     t_grid = np.geomspace(0.05, 20.0, grid_pts)
     candidates = list(registry_gauges().items())
-    for i, gcfg in enumerate(cfg.params.get("extra_gauges", [])):
+    for i, gcfg in enumerate(params["extra_gauges"]):
         gauge = gauge_from_config(dict(gcfg))
         candidates.append((f"extra{i}:{gauge.label}", gauge))
     reports = []
@@ -245,15 +319,13 @@ def run_young(cfg) -> ExperimentResult:
 
 def run_moment_constant(cfg) -> ExperimentResult:
     """Feasibility of the derived moment constant across the parameter grid."""
-    betas = cfg.params.get("betas", (1.5, 2.0, 4.0))
-    deltas = cfg.params.get("deltas", (0.05, 0.1, 0.25))
-    orders = cfg.params.get("orders", (1.0, 2.0))
+    _, _, params = _resolve(cfg)
     reports = []
     for line in (1, 2):
-        for beta in betas:
-            for delta in deltas:
+        for beta in params["betas"]:
+            for delta in params["deltas"]:
                 c_delta = good_lambda_bound(beta, delta, line)
-                for p in orders:
+                for p in params["orders"]:
                     feasible = c_delta < beta ** (-p)
                     extras = {"c_delta": c_delta}
                     if feasible:
@@ -277,12 +349,10 @@ def run_moment_constant(cfg) -> ExperimentResult:
 
 def run_isometry(cfg) -> ExperimentResult:
     """E |I_tau|^2 = E eta_tau per (integrand, stopping time, atom, grid)."""
-    n = cfg.grid_n or 256
+    replicates, n, params = _resolve(cfg)
     factor = 4
-    horizon = cfg.params.get("horizon", 1.0)
-    replicates = cfg.replicates or 100_000
-    fine_grid = PathGrid(horizon, n * factor)
-    space = DiscreteMeasureSpace(cfg.params.get("weights", [1.0, 0.5]))
+    fine_grid = PathGrid(params["horizon"], n * factor)
+    space = DiscreteMeasureSpace(params["weights"])
     gauge = get_gauge("power_2")
     specs = [
         build_process({"rule": "constant_e1"}),
@@ -290,43 +360,34 @@ def run_isometry(cfg) -> ExperimentResult:
         build_process({"rule": "B1_times_e1"}),
         build_process({"rule": "two_coord_mix"}),
     ]
-    stop_names = ("horizon", "first_exit", "clock_threshold")
-    exit_level = cfg.params.get("exit_level", 1.0)
-    threshold = cfg.params.get("clock_threshold", 0.35)
 
-    acc = {}
-    for fine in _batches(cfg.seed, "isometry", 2, fine_grid, replicates, 2048):
-        for tag, b in (("4n", fine), ("n", fine.coarsened(factor))):
-            steps = b.grid.steps
-            for spec in specs:
-                realized = spec.realize(b.paths, b.grid, space)
-                integral = realized.integral(b.increments)
-                eta = realized.eta()
-                tn = triple_norm_path(eta, space, gauge)
-                stops = {
-                    "horizon": np.full(b.replicates, steps, dtype=np.int64),
-                    "first_exit": hitting_index(np.abs(b.paths[:, 0, :]), exit_level)[0],
-                    "clock_threshold": hitting_index(tn, threshold, mode="strict")[0],
-                }
-                for stop in stop_names:
-                    i_tau = _take_at(integral, stops[stop])
-                    eta_tau = _take_at(eta, stops[stop])
-                    diff = i_tau**2 - eta_tau
-                    for a in range(space.n_atoms):
-                        key = (spec.rule, stop, a, tag)
-                        entry = acc.setdefault(key, _pair_moments())
-                        entry["lhs"].add(i_tau[:, a] ** 2)
-                        entry["rhs"].add(eta_tau[:, a])
-                        entry["diff"].add(diff[:, a])
+    tally = _Tally()
+    steps = {}
+    for tag, b in _views(cfg.seed, "isometry", 2, fine_grid, replicates, 2048, factor):
+        steps[tag] = b.grid.steps
+        first_exit = hitting_index(np.abs(b.paths[:, 0, :]), params["exit_level"])[0]
+        for spec in specs:
+            realized = spec.realize(b.paths, b.grid, space)
+            integral = realized.integral(b.increments)
+            eta = realized.eta()
+            tn = triple_norm_path(eta, space, gauge)
+            stops = {
+                "horizon": np.full(b.replicates, b.grid.steps, dtype=np.int64),
+                "first_exit": first_exit,
+                "clock_threshold": hitting_index(tn, params["clock_threshold"], mode="strict")[0],
+            }
+            for stop, tau in stops.items():
+                i_tau = _take_at(integral, tau)
+                eta_tau = _take_at(eta, tau)
+                for a in range(space.n_atoms):
+                    tally.add((spec.rule, stop, a, tag), i_tau[:, a] ** 2, eta_tau[:, a], 1.0)
 
     reports = []
-    for (rule, stop, a, tag), entry in acc.items():
-        se = entry["diff"].estimate().stderr
-        lhs, rhs = entry["lhs"].estimate(), entry["rhs"].estimate()
+    for key in tally.keys():
+        rule, stop, a, tag = key
         base = f"{rule}:{stop}:atom{a}@{tag}"
-        grid_steps = n * factor if tag == "4n" else n
-        reports.append(RatioReport(f"isometry-fwd:{base}", lhs, rhs, 1.0, grid_steps, slack_stderr=se))
-        reports.append(RatioReport(f"isometry-rev:{base}", rhs, lhs, 1.0, grid_steps, slack_stderr=se))
+        reports.append(tally.row(f"isometry-fwd:{base}", key, 1.0, steps[tag]))
+        reports.append(tally.row(f"isometry-rev:{base}", key, 1.0, steps[tag], reverse=True))
     return ExperimentResult("isometry", n, reports, notes={"replicates": replicates})
 
 
@@ -336,81 +397,49 @@ def run_isometry(cfg) -> ExperimentResult:
 
 def run_good_lambda(cfg) -> ExperimentResult:
     """Tail domination for (B*_tau, sqrt(tau)), tau = capped first exit."""
-    n = cfg.grid_n or 2048
+    replicates, n, params = _resolve(cfg)
     factor = 4
-    horizon = cfg.params.get("horizon", 4.0)
-    level = cfg.params.get("exit_level", 1.0)
-    replicates = cfg.replicates or 100_000
-    betas = tuple(cfg.params.get("betas", (1.5, 2.0, 4.0)))
-    deltas = tuple(cfg.params.get("deltas", (0.05, 0.1, 0.25)))
-    lambdas = np.asarray(cfg.params.get("lambdas", np.geomspace(0.05, 0.8, 8)), dtype=float)
-    fine_grid = PathGrid(horizon, n * factor)
+    betas = tuple(params["betas"])
+    deltas = tuple(params["deltas"])
+    lambdas = np.asarray(params["lambdas"], dtype=float)
+    fine_grid = PathGrid(params["horizon"], n * factor)
 
-    tags = ("4n", "n")
-    tail = {t: {} for t in tags}  # (line, beta, delta, lam_idx) -> moments
-    moment = {t: {p: _pair_moments() for p in (1, 2)} for t in tags}
-    rev_moment = {t: {p: _pair_moments() for p in (1, 2)} for t in tags}
-
-    for fine in _batches(cfg.seed, "good_lambda", 1, fine_grid, replicates, 2048):
-        for tag, b in (("4n", fine), ("n", fine.coarsened(factor))):
-            absb = np.abs(b.paths[:, 0, :])
-            tau, _ = hitting_index(absb, level)  # sentinel = horizon cap
-            x = _take_at(np.maximum.accumulate(absb, axis=1), tau)
-            y = np.sqrt(tau * b.grid.dt)
-            for line in (1, 2):
-                big, small = (x, y) if line == 1 else (y, x)
-                for beta in betas:
-                    for delta in deltas:
-                        for k, lam in enumerate(lambdas):
-                            joint = (big > beta * lam) & (small < delta * lam)
-                            entry = tail[tag].setdefault(
-                                (line, beta, delta, k), _pair_moments()
-                            )
-                            entry["lhs"].add(joint.astype(float))
-                            entry["rhs"].add((big > lam).astype(float))
-            for p in (1, 2):
-                moment[tag][p]["lhs"].add(x**p)
-                moment[tag][p]["rhs"].add(y**p)
-                rev_moment[tag][p]["lhs"].add(y**p)
-                rev_moment[tag][p]["rhs"].add(x**p)
-
-    reports = []
-    for tag in tags:
-        grid_steps = n * factor if tag == "4n" else n
-        for (line, beta, delta, k), entry in tail[tag].items():
-            bound = good_lambda_bound(beta, delta, line)
-            reports.append(
-                RatioReport(
-                    label=f"good-lambda-line{line}:beta{beta}:delta{delta}:lam{k}@{tag}",
-                    lhs=entry["lhs"].estimate(),
-                    rhs=entry["rhs"].estimate(),
-                    bound=bound,
-                    grid_n=grid_steps,
-                    extras={"lambda": float(lambdas[k])},
-                )
-            )
-        # moment comparisons with the derived constants (beta=2, delta=0.1)
+    tally = _Tally()
+    steps = {}
+    for tag, b in _views(cfg.seed, "good_lambda", 1, fine_grid, replicates, 2048, factor):
+        steps[tag] = b.grid.steps
+        absb = np.abs(b.paths[:, 0, :])
+        tau, _ = hitting_index(absb, params["exit_level"])  # sentinel = horizon cap
+        x = _take_at(np.maximum.accumulate(absb, axis=1), tau)
+        y = np.sqrt(tau * b.grid.dt)
+        for line in (1, 2):
+            big, small = (x, y) if line == 1 else (y, x)
+            for beta in betas:
+                for delta in deltas:
+                    for k, lam in enumerate(lambdas):
+                        joint = (big > beta * lam) & (small < delta * lam)
+                        tally.add(("tail", tag, line, beta, delta, k), joint, big > lam)
         for p in (1, 2):
-            c1 = good_lambda_bound(2.0, 0.1, 1)
-            c2 = good_lambda_bound(2.0, 0.1, 2)
-            reports.append(
-                RatioReport(
-                    label=f"moment-p{p}-fwd@{tag}",
-                    lhs=moment[tag][p]["lhs"].estimate(),
-                    rhs=moment[tag][p]["rhs"].estimate(),
-                    bound=derive_moment_constant(2.0, 0.1, p, c1),
-                    grid_n=grid_steps,
-                )
-            )
-            reports.append(
-                RatioReport(
-                    label=f"moment-p{p}-rev@{tag}",
-                    lhs=rev_moment[tag][p]["lhs"].estimate(),
-                    rhs=rev_moment[tag][p]["rhs"].estimate(),
-                    bound=derive_moment_constant(2.0, 0.1, p, c2),
-                    grid_n=grid_steps,
-                )
-            )
+            tally.add(("moment", tag, p), x**p, y**p)
+
+    c1 = good_lambda_bound(2.0, 0.1, 1)
+    c2 = good_lambda_bound(2.0, 0.1, 2)
+    reports = []
+    for key in tally.keys():  # per grid: tail lines, then moments
+        if key[0] == "tail":
+            _, tag, line, beta, delta, k = key
+            reports.append(tally.row(
+                f"good-lambda-line{line}:beta{beta}:delta{delta}:lam{k}@{tag}", key,
+                good_lambda_bound(beta, delta, line), steps[tag], {"lambda": float(lambdas[k])},
+            ))
+        else:
+            # moment comparisons with the derived constants (beta=2, delta=0.1)
+            _, tag, p = key
+            reports.append(tally.row(f"moment-p{p}-fwd@{tag}", key,
+                                     derive_moment_constant(2.0, 0.1, p, c1), steps[tag]))
+            reports.append(tally.row(f"moment-p{p}-rev@{tag}", key,
+                                     derive_moment_constant(2.0, 0.1, p, c2), steps[tag],
+                                     reverse=True))
     return ExperimentResult("good_lambda", n, reports, notes={"replicates": replicates})
 
 
@@ -420,40 +449,31 @@ def run_good_lambda(cfg) -> ExperimentResult:
 
 def run_bdg_scalar(cfg) -> ExperimentResult:
     """Doob bracket E sup|M|^2 / E<M> in [1, 4] for the suite martingales."""
-    n = cfg.grid_n or 1024
-    horizon = cfg.params.get("horizon", 1.0)
-    replicates = cfg.replicates or 100_000
-    grid = PathGrid(horizon, n)
+    replicates, n, params = _resolve(cfg)
+    grid = PathGrid(params["horizon"], n)
     space1 = DiscreteMeasureSpace([1.0])
     sign_spec = build_process({"rule": "sign_of_B1", "blocks": 16})
 
-    acc = {d: _pair_moments() for d in ("bm", "sign_integral")}
-    rev = {d: _pair_moments() for d in ("bm", "sign_integral")}
-    for b in _batches(cfg.seed, "bdg_scalar", 1, grid, replicates, 2048):
+    tally = _Tally()
+    for _, b in _views(cfg.seed, "bdg_scalar", 1, grid, replicates, 2048):
         sup_sq = running_abs_max(b.paths[:, 0, :])[:, -1] ** 2
         qv = quadratic_variation(b.increments[:, 0, :])[:, -1]
+        tally.add("bm", sup_sq, qv, 4.0, 1.0)
         realized = sign_spec.realize(b.paths, b.grid, space1)
         m2 = realized.integral(b.increments)[:, :, 0]
-        sup_sq2 = running_abs_max(m2)[:, -1] ** 2
-        qv2 = realized.eta()[:, -1, 0]
-        for d, s, q in (("bm", sup_sq, qv), ("sign_integral", sup_sq2, qv2)):
-            acc[d]["lhs"].add(s)
-            acc[d]["rhs"].add(q)
-            acc[d]["diff"].add(s - 4.0 * q)
-            rev[d]["lhs"].add(q)
-            rev[d]["rhs"].add(s)
-            rev[d]["diff"].add(q - s)
+        tally.add("sign_integral", running_abs_max(m2)[:, -1] ** 2, realized.eta()[:, -1, 0],
+                  4.0, 1.0)
 
     reports = []
     for d in ("bm", "sign_integral"):
-        lhs, rhs = acc[d]["lhs"].estimate(), acc[d]["rhs"].estimate()
+        lhs, rhs = tally.sides(d)
         ratio = lhs.mean / rhs.mean
         # scaling M -> 2M multiplies both estimator sums by 4; the ratio is
         # reproduced by the same arithmetic and must agree bitwise
         ratio_scaled = (4.0 * lhs.mean) / (4.0 * rhs.mean)
         extras = {"ratio_scaled_2": ratio_scaled, "scaling_exact": ratio == ratio_scaled}
-        reports.append(_paired_row(f"bdg-upper:{d}", acc[d], 4.0, n, extras))
-        reports.append(_paired_row(f"bdg-lower:{d}", rev[d], 1.0, n, {"ratio": ratio}))
+        reports.append(tally.row(f"bdg-upper:{d}", d, 4.0, n, extras))
+        reports.append(tally.row(f"bdg-lower:{d}", d, 1.0, n, {"ratio": ratio}, reverse=True))
     return ExperimentResult("bdg_scalar", n, reports, notes={"replicates": replicates})
 
 
@@ -463,12 +483,10 @@ def run_bdg_scalar(cfg) -> ExperimentResult:
 
 def run_doob_orlicz(cfg) -> ExperimentResult:
     """Hypothesis audit and conclusion E L(xi) <= C E L(eta) for the pair suite."""
-    n = cfg.grid_n or 1024
+    replicates, n, params = _resolve(cfg)
     factor = 4
-    horizon = cfg.params.get("horizon", 1.0)
-    replicates = cfg.replicates or 100_000
-    lambdas = np.asarray(cfg.params.get("lambdas", np.geomspace(0.1, 2.0, 8)), dtype=float)
-    fine_grid = PathGrid(horizon, n * factor)
+    lambdas = np.asarray(params["lambdas"], dtype=float)
+    fine_grid = PathGrid(params["horizon"], n * factor)
 
     power2 = get_gauge("power_2")
     lambda2 = get_gauge("lambda_2")
@@ -478,69 +496,51 @@ def run_doob_orlicz(cfg) -> ExperimentResult:
         raise LabError("power_2 failed the integrability probe")
     if not report_l2.a2_operational:
         raise LabError("lambda_2 fails the operational A2 probe")
+    gauges = (("power_2", power2), ("lambda_2", lambda2))
+    bounds = {("doob", "power_2"): 4.0}  # the Doob constant; 1 elsewhere
 
-    tags = ("4n", "n")
-    audit = {t: {} for t in tags}
-    concl = {t: {} for t in tags}
-    violations = {t: 0 for t in tags}
-    for fine in _batches(cfg.seed, "doob_orlicz", 1, fine_grid, replicates, 2048):
-        for tag, b in (("4n", fine), ("n", fine.coarsened(factor))):
-            terminal = np.abs(b.paths[:, 0, -1])
-            supremum = running_abs_max(b.paths[:, 0, :])[:, -1]
-            pairs = {
-                "identity": (terminal, terminal),
-                "dominated": (terminal, supremum),
-                "doob": (supremum, terminal),
-            }
-            for pname, (xi, eta) in pairs.items():
-                for k, lam in enumerate(lambdas):
-                    on = xi >= lam
-                    lhs_s = lam * on
-                    rhs_s = eta * on
-                    entry = audit[tag].setdefault((pname, k), _pair_moments())
-                    entry["lhs"].add(lhs_s)
-                    entry["rhs"].add(rhs_s)
-                    entry["diff"].add(lhs_s - rhs_s)
-                    if pname == "dominated":
-                        violations[tag] += int(np.count_nonzero(lhs_s > rhs_s))
-                for gname, gauge in (("power_2", power2), ("lambda_2", lambda2)):
-                    entry = concl[tag].setdefault((pname, gname), _pair_moments())
-                    lxi, leta = gauge(xi), gauge(eta)
-                    entry["lhs"].add(lxi)
-                    entry["rhs"].add(leta)
-                    entry["diff"].add(lxi - (4.0 if (pname, gname) == ("doob", "power_2") else 1.0) * leta)
+    tally = _Tally()
+    steps = {}
+    violations = 0
+    for tag, b in _views(cfg.seed, "doob_orlicz", 1, fine_grid, replicates, 2048, factor):
+        steps[tag] = b.grid.steps
+        terminal = np.abs(b.paths[:, 0, -1])
+        supremum = running_abs_max(b.paths[:, 0, :])[:, -1]
+        pairs = {
+            "identity": (terminal, terminal),
+            "dominated": (terminal, supremum),
+            "doob": (supremum, terminal),
+        }
+        for pname, (xi, eta) in pairs.items():
+            for k, lam in enumerate(lambdas):
+                on = xi >= lam
+                lhs_s = lam * on
+                rhs_s = eta * on
+                tally.add(("hypothesis", tag, pname, k), lhs_s, rhs_s, 1.0)
+                if pname == "dominated":
+                    violations += int(np.count_nonzero(lhs_s > rhs_s))
+            for gname, gauge in gauges:
+                tally.add(("conclusion", tag, pname, gname), gauge(xi), gauge(eta),
+                          bounds.get((pname, gname), 1.0))
 
     reports = []
-    audit_ok = True
-    for tag in tags:
-        grid_steps = n * factor if tag == "4n" else n
-        for (pname, k), entry in audit[tag].items():
-            row = _paired_row(
-                f"hypothesis:{pname}:lam{k}@{tag}", entry, 1.0, grid_steps,
-                {"lambda": float(lambdas[k])},
-            )
-            audit_ok = audit_ok and row.passed
-            reports.append(row)
-    notes = {"dominated_pointwise_violations": violations["4n"] + violations["n"]}
-    if violations["4n"] + violations["n"] > 0:
-        audit_ok = False
-    if not audit_ok:
+    for key in tally.keys():
+        kind, tag, pname, k = key
+        if kind == "hypothesis":
+            reports.append(tally.row(f"hypothesis:{pname}:lam{k}@{tag}", key, 1.0, steps[tag],
+                                     {"lambda": float(lambdas[k])}))
+    notes = {"dominated_pointwise_violations": violations}
+    if violations > 0 or not all(row.passed for row in reports):
         notes["audit_failed"] = True
         return ExperimentResult("doob_orlicz", n, reports, notes)
 
-    for tag in tags:
-        grid_steps = n * factor if tag == "4n" else n
-        for (pname, gname), entry in concl[tag].items():
-            if (pname, gname) == ("doob", "lambda_2"):
-                continue  # handled by the stability rows below
-            bound = 4.0 if (pname, gname) == ("doob", "power_2") else 1.0
-            reports.append(
-                _paired_row(f"conclusion:{pname}:{gname}@{tag}", entry, bound, grid_steps)
-            )
-    ratios = {}
-    for tag in tags:
-        entry = concl[tag][("doob", "lambda_2")]
-        ratios[tag] = entry["lhs"].estimate().mean / entry["rhs"].estimate().mean
+    for key in tally.keys():
+        kind, tag, pname, gname = key
+        # (doob, lambda_2) is handled by the stability rows below
+        if kind == "conclusion" and (pname, gname) != ("doob", "lambda_2"):
+            reports.append(tally.row(f"conclusion:{pname}:{gname}@{tag}", key,
+                                     bounds.get((pname, gname), 1.0), steps[tag]))
+    ratios = {tag: tally.ratio(("conclusion", tag, "doob", "lambda_2")) for tag in ("4n", "n")}
     reports.extend(
         _stability_rows("stability:doob:lambda_2", ratios["4n"], ratios["n"], 0.10, n)
     )
@@ -557,7 +557,8 @@ CERTIFIED_PAIRS = ("scalar", "orlicz")
 
 def run_lenglart(cfg) -> ExperimentResult:
     """Certified domination pairs: hypothesis audit, tail line, conclusion."""
-    pair_list = cfg.params.get("pairs", CERTIFIED_PAIRS)
+    replicates, n, params = _resolve(cfg)
+    pair_list = params["pairs"]
     if isinstance(pair_list, str):
         pair_list = (pair_list,)
     for p in pair_list:
@@ -569,38 +570,32 @@ def run_lenglart(cfg) -> ExperimentResult:
     notes = {}
     audit_ok = True
     if "scalar" in pair_list:
-        rs, ns, ok = _lenglart_scalar(cfg)
+        rs, ns, ok = _lenglart_scalar(cfg.seed, replicates, n, params)
         reports.extend(rs)
         notes.update(ns)
         audit_ok = audit_ok and ok
     if "orlicz" in pair_list:
-        ro, no, ok = _lenglart_orlicz(cfg)
+        ro, no, ok = _lenglart_orlicz(cfg.seed, replicates, params)
         reports.extend(ro)
         notes.update(no)
         audit_ok = audit_ok and ok
     if not audit_ok:
         notes["audit_failed"] = True
-    return ExperimentResult("lenglart", cfg.grid_n or 2048, reports, notes)
+    return ExperimentResult("lenglart", n, reports, notes)
 
 
-def _lenglart_scalar(cfg):
+def _lenglart_scalar(seed, replicates, n, params):
     """xi = B, rho = |x - y|, q = 2, N = sqrt(<B>), kappa = 1."""
-    n = cfg.grid_n or 2048
-    horizon = cfg.params.get("horizon", 4.0)
-    replicates = cfg.replicates or 40_000
+    horizon = params["horizon"]
     grid = PathGrid(horizon, n)
-    lambdas = np.asarray(cfg.params.get("lambdas", np.geomspace(0.1, 1.2, 6)), dtype=float)
+    lambdas = np.asarray(params["lambdas"], dtype=float)
     eps = 0.25
     sweep_times = (0.5, 1.0, 2.0)
-    stability_factor = float(cfg.params.get("stability_factor", 10.0))
+    stability_factor = float(params["stability_factor"])
+    c_star = lenglart_constant(2.0, 1.0, 1.0, 2.0)
 
-    audits = {w: _pair_moments() for w in ("zero", "half-exit", "half-horizon")}
-    hit_prob = {w: RunningMoments() for w in audits}
-    tails = {k: _pair_moments() for k in range(lambdas.size)}
-    concl = _pair_moments()
-    sweep = {t: _pair_moments() for t in sweep_times}
-
-    for b in _batches(cfg.seed, "lenglart_scalar", 1, grid, replicates, 2048):
+    tally = _Tally()
+    for _, b in _views(seed, "lenglart_scalar", 1, grid, replicates, 2048):
         path = b.paths[:, 0, :]
         absb = np.abs(path)
         run_max = np.maximum.accumulate(absb, axis=1)
@@ -614,100 +609,59 @@ def _lenglart_scalar(cfg):
         b_tau = _take_at(path, tau)
         star = _take_at(run_max, tau)
         clock = tau * b.grid.dt
+        # E (B_tau - B_sigma)^2 <= ess sup <B> P(sigma < tau)
         for w, sigma in windows.items():
-            diff_sq = (b_tau - _take_at(path, sigma)) ** 2
-            audits[w]["lhs"].add(diff_sq)
-            hit_prob[w].add((sigma < tau).astype(float))
+            tally.add(("hypothesis", w), (b_tau - _take_at(path, sigma)) ** 2, sigma < tau)
         # one-step tail line P(M* >= lam) <= kappa (2 g eps)^q P(2 g M* >= lam)
         #                                     + P(N > eps lam), with g=1, q=2
         shrink = (2.0 * eps) ** 2
         for k, lam in enumerate(lambdas):
-            lhs_s = (star >= lam).astype(float)
             rhs_s = shrink * (2.0 * star >= lam) + (np.sqrt(clock) > eps * lam)
-            tails[k]["lhs"].add(lhs_s)
-            tails[k]["rhs"].add(rhs_s)
-            tails[k]["diff"].add(lhs_s - rhs_s)
-        concl["lhs"].add(star**2)
-        concl["rhs"].add(clock)
-        concl["diff"].add(star**2 - lenglart_constant(2.0, 1.0, 1.0, 2.0) * clock)
+            tally.add(("tail", k), star >= lam, rhs_s, 1.0)
+        tally.add("conclusion", star**2, clock, c_star)
         for t_stop in sweep_times:
             idx = grid.index_of(t_stop)
-            s_t = run_max[:, idx] ** 2
-            sweep[t_stop]["lhs"].add(s_t)
-            sweep[t_stop]["rhs"].add(np.full(b.replicates, t_stop))
-            sweep[t_stop]["diff"].add(s_t)
+            tally.add(("sweep", t_stop), run_max[:, idx] ** 2, np.full(b.replicates, t_stop))
 
     reports = []
-    audit_ok = True
-    for w in audits:
-        lhs = audits[w]["lhs"].estimate()
-        p_est = hit_prob[w].estimate()
-        rhs = McEstimate(horizon * p_est.mean, horizon * p_est.stderr, p_est.n)
-        row = RatioReport(
-            f"hypothesis:scalar:{w}", lhs, rhs, 1.0, n,
-            extras={"ess_sup_clock": horizon},
-        )
-        audit_ok = audit_ok and row.passed
-        reports.append(row)
+    for w in ("zero", "half-exit", "half-horizon"):
+        lhs, hit = tally.sides(("hypothesis", w))
+        reports.append(RatioReport(f"hypothesis:scalar:{w}", lhs, hit.scaled(horizon), 1.0, n,
+                                   extras={"ess_sup_clock": horizon}))
     for k in range(lambdas.size):
-        row = _paired_row(
-            f"tail:scalar:lam{k}", tails[k], 1.0, n, {"lambda": float(lambdas[k]), "eps": eps}
-        )
-        audit_ok = audit_ok and row.passed
-        reports.append(row)
-    if not audit_ok:
+        reports.append(tally.row(f"tail:scalar:lam{k}", ("tail", k), 1.0, n,
+                                 {"lambda": float(lambdas[k]), "eps": eps}))
+    if not all(row.passed for row in reports):
         return reports, {"scalar_ratio": None}, False
 
-    c_star = lenglart_constant(2.0, 1.0, 1.0, 2.0)
-    reports.append(_paired_row("conclusion:scalar:certified", concl, c_star, n,
-                               {"constant": c_star}))
+    reports.append(tally.row("conclusion:scalar:certified", "conclusion", c_star, n,
+                             {"constant": c_star}))
     ratios = {}
     for t_stop in sweep_times:
-        lhs = sweep[t_stop]["lhs"].estimate()
-        rhs = sweep[t_stop]["rhs"].estimate()
-        ratios[t_stop] = lhs.mean / rhs.mean
-        reports.append(
-            RatioReport(f"sweep:scalar:T{t_stop}", lhs, rhs, c_star, n,
-                        extras={"ratio": ratios[t_stop]})
-        )
-    r_vals = list(ratios.values())
-    reports.append(
-        RatioReport("sweep:scalar:spread", McEstimate.exact(max(r_vals)),
-                    McEstimate.exact(min(r_vals)), stability_factor, n)
-    )
-    # scaling B -> cB multiplies both sweep sums by c^2; ratios are bitwise equal
-    base = ratios[1.0]
-    scaled = {c: (c**2 * sweep[1.0]["lhs"].estimate().mean) / (c**2 * sweep[1.0]["rhs"].estimate().mean)
-              for c in (0.5, 2.0)}
-    exact = all(v == base for v in scaled.values())
-    reports.append(
-        RatioReport("scaling-exact:scalar", McEstimate.exact(max(scaled.values(), default=base)),
-                    McEstimate.exact(base), 1.0, n,
-                    extras={"scaling_exact": exact})
-    )
+        ratios[t_stop] = tally.ratio(("sweep", t_stop))
+        reports.append(tally.row(f"sweep:scalar:T{t_stop}", ("sweep", t_stop), c_star, n,
+                                 {"ratio": ratios[t_stop]}))
+    rows, base, exact = _sweep_rows("scalar", tally, ratios, stability_factor, n)
+    reports.extend(rows)
     return reports, {"scalar_ratio": base, "scalar_scaling_exact": exact}, True
 
 
-def _lenglart_orlicz(cfg):
+def _lenglart_orlicz(seed, replicates, params):
     """xi = vector integral, rho1 = modular difference, N = clock modular."""
-    n_master = cfg.params.get("orlicz_grid_n", 1024)
+    n_master = params["orlicz_grid_n"]
     horizon = 2.0
-    replicates = min(cfg.replicates or 20_000, 40_000)
     grid = PathGrid(horizon, n_master)
-    space = DiscreteMeasureSpace(cfg.params.get("weights", [1.0, 1.0, 2.0, 0.5]))
+    space = DiscreteMeasureSpace(params["weights"])
     gauge = get_gauge("power_2")
     rho1 = QuasiMetric.modular_difference(space, gauge)
     gamma2 = 2.0  # the clock metric sums weighted absolute differences
     spec = build_process({"rule": "two_coord_mix"})
-    threshold = float(cfg.params.get("clock_threshold", 0.5))
+    threshold = float(params["clock_threshold"])
     sweep_times = (0.5, 1.0, 2.0)
-    stability_factor = float(cfg.params.get("stability_factor", 10.0))
+    stability_factor = float(params["stability_factor"])
 
-    audits = {w: _pair_moments() for w in ("half-horizon", "clock_threshold")}
-    concl = _pair_moments()
-    sweep = {t: _pair_moments() for t in sweep_times}
-
-    for b in _batches(cfg.seed, "lenglart_orlicz", 2, grid, replicates, 512):
+    tally = _Tally()
+    for _, b in _views(seed, "lenglart_orlicz", 2, grid, replicates, 512):
         realized = spec.realize(b.paths, b.grid, space)
         integral = realized.integral(b.increments)
         eta = realized.eta()
@@ -724,54 +678,28 @@ def _lenglart_orlicz(cfg):
         for w, sigma in windows.items():
             rho_diff = rho1.distance(i_tau, _take_at(integral, sigma))
             clock_diff = ((eta_tau - _take_at(eta, sigma)) @ space.weights)
-            audits[w]["lhs"].add(rho_diff)
-            audits[w]["rhs"].add(clock_diff)
-            audits[w]["diff"].add(rho_diff - clock_diff)
-        concl["lhs"].add(run_mod[:, -1])
-        concl["rhs"].add(clock_path[:, -1])
-        concl["diff"].add(run_mod[:, -1] - 4.0 * clock_path[:, -1])
+            tally.add(("hypothesis", w), rho_diff, clock_diff, 1.0)
+        tally.add("conclusion", run_mod[:, -1], clock_path[:, -1], 4.0)
         for t_stop in sweep_times:
             idx = grid.index_of(t_stop)
-            sweep[t_stop]["lhs"].add(run_mod[:, idx])
-            sweep[t_stop]["rhs"].add(clock_path[:, idx])
-            sweep[t_stop]["diff"].add(run_mod[:, idx] - 4.0 * clock_path[:, idx])
+            tally.add(("sweep", t_stop), run_mod[:, idx], clock_path[:, idx], 4.0)
 
-    reports = []
-    audit_ok = True
-    for w in audits:
-        row = _paired_row(f"hypothesis:orlicz:{w}", audits[w], 1.0, n_master)
-        audit_ok = audit_ok and row.passed
-        reports.append(row)
-    if not audit_ok:
+    reports = [tally.row(f"hypothesis:orlicz:{w}", ("hypothesis", w), 1.0, n_master)
+               for w in ("half-horizon", "clock_threshold")]
+    if not all(row.passed for row in reports):
         return reports, {"orlicz_ratio": None}, False
 
     c_cert = lenglart_constant(1.0, 2.0 * gamma2, rho1.gamma, 1.0)
-    reports.append(_paired_row("conclusion:orlicz:doob", concl, 4.0, n_master))
-    reports.append(
-        RatioReport("conclusion:orlicz:certified", concl["lhs"].estimate(),
-                    concl["rhs"].estimate(), c_cert, n_master,
-                    extras={"constant": c_cert, "gamma1": rho1.gamma})
-    )
+    reports.append(tally.row("conclusion:orlicz:doob", "conclusion", 4.0, n_master))
+    reports.append(tally.row("conclusion:orlicz:certified", "conclusion", c_cert, n_master,
+                             {"constant": c_cert, "gamma1": rho1.gamma}))
     ratios = {}
     for t_stop in sweep_times:
-        row = _paired_row(f"sweep:orlicz:T{t_stop}", sweep[t_stop], 4.0, n_master)
+        row = tally.row(f"sweep:orlicz:T{t_stop}", ("sweep", t_stop), 4.0, n_master)
         ratios[t_stop] = row.ratio
         reports.append(row)
-    r_vals = list(ratios.values())
-    reports.append(
-        RatioReport("sweep:orlicz:spread", McEstimate.exact(max(r_vals)),
-                    McEstimate.exact(min(r_vals)), stability_factor, n_master)
-    )
-    # scaling X -> cX multiplies modular and clock sums by c^2 for the
-    # square gauge; the sweep ratios are bitwise invariant
-    base = ratios[1.0]
-    scaled = {c: (c**2 * sweep[1.0]["lhs"].estimate().mean) / (c**2 * sweep[1.0]["rhs"].estimate().mean)
-              for c in (0.5, 2.0)}
-    exact = all(v == base for v in scaled.values())
-    reports.append(
-        RatioReport("scaling-exact:orlicz", McEstimate.exact(max(scaled.values(), default=base)),
-                    McEstimate.exact(base), 1.0, n_master, extras={"scaling_exact": exact})
-    )
+    rows, base, exact = _sweep_rows("orlicz", tally, ratios, stability_factor, n_master)
+    reports.extend(rows)
     return reports, {"orlicz_ratio": base, "orlicz_scaling_exact": exact}, True
 
 
@@ -798,17 +726,16 @@ def _modular_paths(gauge: GrowthFunction, integral, eta, weights, c: float):
 
 def run_orlicz_bdg(cfg) -> ExperimentResult:
     """E Phi(sup_t [I_t]) vs E Phi([sqrt(eta_tau)]) in both directions."""
-    n = cfg.grid_n or 512
+    replicates, n, params = _resolve(cfg)
     factor = 4
     horizon = 2.0
-    replicates = cfg.replicates or 20_000
     fine_grid = PathGrid(horizon, n * factor)
-    space = DiscreteMeasureSpace(cfg.params.get("weights", [1.0, 1.0, 2.0, 0.5]))
+    space = DiscreteMeasureSpace(params["weights"])
     space1 = DiscreteMeasureSpace([1.0])
     sweep_times = (0.5, 1.0, 2.0)
     scales = (0.5, 1.0, 2.0)
-    stability_factor = float(cfg.params.get("stability_factor", 10.0))
-    envelope = float(cfg.params.get("envelope", 50.0))
+    stability_factor = float(params["stability_factor"])
+    envelope = float(params["envelope"])
 
     power2 = get_gauge("power_2")
     lambda2 = get_gauge("lambda_2")
@@ -821,112 +748,93 @@ def run_orlicz_bdg(cfg) -> ExperimentResult:
     ]
     single_spec = build_process({"rule": "constant_e1"})
 
-    acc = {}   # (rule, gname, tag, T, c) -> moments; fine sweeps + coarse base
-    single = _pair_moments()
+    tally = _Tally()  # (rule, gname, tag, T, c): fine sweeps + coarse base; "single"
+    steps = {}
     norm_checks = []
-
-    for fine in _batches(cfg.seed, "orlicz_bdg", 2, fine_grid, replicates, 512):
-        first_batch = not norm_checks
-        for tag, b in (("4n", fine), ("n", fine.coarsened(factor))):
-            grid_points = {t: b.grid.index_of(t) for t in sweep_times}
-            for spec in specs:
-                realized = spec.realize(b.paths, b.grid, space)
-                integral = realized.integral(b.increments)
-                eta = realized.eta()
-                combos = (
-                    [(t, c) for t in sweep_times for c in scales]
-                    if tag == "4n"
-                    else [(horizon, 1.0)]
-                )
-                for gname, gauge in gauges:
-                    done = {}
-                    for t_stop, c in combos:
-                        if c not in done:
-                            done[c] = _modular_paths(gauge, integral, eta, space.weights, c)
-                        run_mod, clock = done[c]
-                        idx = grid_points[t_stop]
-                        entry = acc.setdefault((spec.rule, gname, tag, t_stop, c), _pair_moments())
-                        entry["lhs"].add(run_mod[:, idx])
-                        entry["rhs"].add(clock[:, idx])
-                        entry["diff"].add(run_mod[:, idx] - clock[:, idx])
-                if tag == "4n" and spec.rule == "two_coord_mix" and first_batch:
-                    # power-gauge norm path agrees with modular^(1/p)
-                    sample = np.sqrt(eta[: min(32, b.replicates), -1, :])
-                    for gname in ("power_2", "power_1_5"):
-                        g = get_gauge(gname)
-                        p = float(g.params["p"])
-                        lux = luxemburg_of_norms(sample, space.weights, g)
-                        alg = modular_of_norms(sample, space.weights, g) ** (1.0 / p)
-                        rel = np.abs(lux - alg) / np.where(alg > 0, alg, 1.0)
-                        norm_checks.append(
-                            RatioReport(
-                                f"norm-agreement:{gname}",
-                                McEstimate.exact(float(rel.max())),
-                                McEstimate.exact(1.0),
-                                1e-6,
-                                n * factor,
-                            )
+    for tag, b in _views(cfg.seed, "orlicz_bdg", 2, fine_grid, replicates, 512, factor):
+        steps[tag] = b.grid.steps
+        grid_points = {t: b.grid.index_of(t) for t in sweep_times}
+        combos = [(t, c) for t in sweep_times for c in scales] if tag == "4n" else [(horizon, 1.0)]
+        for spec in specs:
+            realized = spec.realize(b.paths, b.grid, space)
+            integral = realized.integral(b.increments)
+            eta = realized.eta()
+            for gname, gauge in gauges:
+                done = {}
+                for t_stop, c in combos:
+                    if c not in done:
+                        done[c] = _modular_paths(gauge, integral, eta, space.weights, c)
+                    run_mod, clock = done[c]
+                    idx = grid_points[t_stop]
+                    tally.add((spec.rule, gname, tag, t_stop, c), run_mod[:, idx], clock[:, idx],
+                              1.0)
+            if tag == "4n" and spec.rule == "two_coord_mix" and not norm_checks:
+                # power-gauge norm path agrees with modular^(1/p), first batch only
+                sample = np.sqrt(eta[: min(32, b.replicates), -1, :])
+                for gname in ("power_2", "power_1_5"):
+                    g = get_gauge(gname)
+                    p = float(g.params["p"])
+                    lux = luxemburg_of_norms(sample, space.weights, g)
+                    alg = modular_of_norms(sample, space.weights, g) ** (1.0 / p)
+                    rel = np.abs(lux - alg) / np.where(alg > 0, alg, 1.0)
+                    norm_checks.append(
+                        RatioReport(
+                            f"norm-agreement:{gname}",
+                            McEstimate.exact(float(rel.max())),
+                            McEstimate.exact(1.0),
+                            1e-6,
+                            b.grid.steps,
                         )
-            if tag == "4n":
-                # single-atom reduction: X = e1, modular path = B^2, clock = t
-                realized = single_spec.realize(b.paths, b.grid, space1)
-                integral = realized.integral(b.increments)[:, :, 0]
-                idx = grid_points[1.0]
-                sup_sq = np.maximum.accumulate(integral**2, axis=1)[:, idx]
-                clock = realized.eta()[:, idx, 0]
-                single["lhs"].add(sup_sq)
-                single["rhs"].add(clock)
-                single["diff"].add(sup_sq - 4.0 * clock)
+                    )
+        if tag == "4n":
+            # single-atom reduction: X = e1, modular path = B^2, clock = t
+            realized = single_spec.realize(b.paths, b.grid, space1)
+            integral = realized.integral(b.increments)[:, :, 0]
+            idx = grid_points[1.0]
+            sup_sq = np.maximum.accumulate(integral**2, axis=1)[:, idx]
+            tally.add("single", sup_sq, realized.eta()[:, idx, 0], 4.0)
 
     reports = []
     for spec in specs:
         for gname, _ in gauges:
             fwd_bound = 4.0 if gname == "power_2" else envelope
             rev_bound = 1.0 if gname == "power_2" else envelope
+            extras = {} if gname == "power_2" else {"bound_kind": "envelope"}
             ratios = {}
             for t_stop in sweep_times:
                 for c in scales:
-                    entry = acc[(spec.rule, gname, "4n", t_stop, c)]
-                    lhs, rhs = entry["lhs"].estimate(), entry["rhs"].estimate()
+                    key = (spec.rule, gname, "4n", t_stop, c)
+                    lhs, rhs = tally.sides(key)
                     ratios[(t_stop, c)] = lhs.mean / rhs.mean
-                    label = f"forward:{spec.rule}:{gname}:T{t_stop}:c{c}"
-                    extras = {} if gname == "power_2" else {"bound_kind": "envelope"}
-                    reports.append(
-                        RatioReport(label, lhs, rhs, fwd_bound, n * factor, extras=extras)
-                    )
-                    reports.append(
-                        RatioReport(
-                            f"reverse:{spec.rule}:{gname}:T{t_stop}:c{c}",
-                            rhs, lhs, rev_bound, n * factor,
-                            slack_stderr=entry["diff"].estimate().stderr if rev_bound == 1.0 else None,
-                            extras=extras,
-                        )
-                    )
+                    # forward rows keep the unpaired slack, also at envelope 1
+                    reports.append(RatioReport(f"forward:{spec.rule}:{gname}:T{t_stop}:c{c}",
+                                               lhs, rhs, fwd_bound, steps["4n"], extras=extras))
+                    reports.append(tally.row(f"reverse:{spec.rule}:{gname}:T{t_stop}:c{c}",
+                                             key, rev_bound, steps["4n"], extras, reverse=True))
             r_vals = list(ratios.values())
             reports.append(
                 RatioReport(f"sweep:{spec.rule}:{gname}", McEstimate.exact(max(r_vals)),
-                            McEstimate.exact(min(r_vals)), stability_factor, n * factor,
+                            McEstimate.exact(min(r_vals)), stability_factor, steps["4n"],
                             extras={"combos": len(r_vals)})
             )
-            coarse = acc[(spec.rule, gname, "n", horizon, 1.0)]
-            r_coarse = coarse["lhs"].estimate().mean / coarse["rhs"].estimate().mean
+            r_coarse = tally.ratio((spec.rule, gname, "n", horizon, 1.0))
             r_fine = ratios[(horizon, 1.0)]
             reports.extend(
-                _stability_rows(f"stability:{spec.rule}:{gname}", r_fine, r_coarse, 0.15, n)
+                _stability_rows(f"stability:{spec.rule}:{gname}", r_fine, r_coarse, 0.15,
+                                steps["n"])
             )
             if gname == "power_2":
                 # homogeneity: the analytic c-scaling cancels bitwise
                 base = ratios[(1.0, 1.0)]
                 exact = all(ratios[(1.0, c)] == base for c in scales)
                 reports.append(
-                    RatioReport(f"scaling-exact:{spec.rule}", McEstimate.exact(max(ratios[(1.0, c)] for c in scales)),
-                                McEstimate.exact(base), 1.0, n * factor,
+                    RatioReport(f"scaling-exact:{spec.rule}",
+                                McEstimate.exact(max(ratios[(1.0, c)] for c in scales)),
+                                McEstimate.exact(base), 1.0, steps["4n"],
                                 extras={"scaling_exact": exact})
                 )
-    lhs, rhs = single["lhs"].estimate(), single["rhs"].estimate()
-    reports.append(RatioReport("single-atom-fwd", lhs, rhs, 4.0, n * factor,
-                               slack_stderr=single["diff"].estimate().stderr))
-    reports.append(RatioReport("single-atom-rev", rhs, lhs, 1.0, n * factor))
+    reports.append(tally.row("single-atom-fwd", "single", 4.0, steps["4n"]))
+    reports.append(tally.row("single-atom-rev", "single", 1.0, steps["4n"], reverse=True))
     reports.extend(norm_checks)
     return ExperimentResult("orlicz_bdg", n, reports, notes={"replicates": replicates})
 
@@ -959,16 +867,36 @@ EXPERIMENT_SUMMARY = {
 
 
 def experiment_defaults(name: str) -> dict:
-    """Default knob values an experiment resolves when the config omits them."""
+    """Default knob values an experiment resolves when the config omits them.
+
+    ``params`` lists every key the experiment reads; ``run_experiment``
+    rejects any other.
+    """
+    betas, deltas = (1.5, 2.0, 4.0), (0.05, 0.1, 0.25)
+    weights4 = [1.0, 1.0, 2.0, 0.5]
     defaults = {
-        "young": {"replicates": 0, "grid_n": 32},
-        "moment_constant": {"replicates": 0, "grid_n": 0},
-        "isometry": {"replicates": 100_000, "grid_n": 256},
-        "good_lambda": {"replicates": 100_000, "grid_n": 2048},
-        "bdg_scalar": {"replicates": 100_000, "grid_n": 1024},
-        "doob_orlicz": {"replicates": 100_000, "grid_n": 1024},
-        "lenglart": {"replicates": 40_000, "grid_n": 2048},
-        "orlicz_bdg": {"replicates": 20_000, "grid_n": 512},
+        "young": {"replicates": 0, "grid_n": 32,
+                  "params": {"grid_points": 32, "extra_gauges": []}},
+        "moment_constant": {"replicates": 0, "grid_n": 0,
+                            "params": {"betas": betas, "deltas": deltas, "orders": (1.0, 2.0)}},
+        "isometry": {"replicates": 100_000, "grid_n": 256,
+                     "params": {"horizon": 1.0, "weights": [1.0, 0.5], "exit_level": 1.0,
+                                "clock_threshold": 0.35}},
+        "good_lambda": {"replicates": 100_000, "grid_n": 2048,
+                        "params": {"horizon": 4.0, "exit_level": 1.0, "betas": betas,
+                                   "deltas": deltas, "lambdas": np.geomspace(0.05, 0.8, 8)}},
+        "bdg_scalar": {"replicates": 100_000, "grid_n": 1024, "params": {"horizon": 1.0}},
+        "doob_orlicz": {"replicates": 100_000, "grid_n": 1024,
+                        "params": {"horizon": 1.0, "lambdas": np.geomspace(0.1, 2.0, 8)}},
+        # one table for both pairs; the Orlicz pair runs on orlicz_grid_n
+        "lenglart": {"replicates": 40_000, "grid_n": 2048,
+                     "params": {"pairs": CERTIFIED_PAIRS, "horizon": 4.0,
+                                "lambdas": np.geomspace(0.1, 1.2, 6), "stability_factor": 10.0,
+                                "orlicz_grid_n": 1024, "weights": weights4,
+                                "clock_threshold": 0.5}},
+        "orlicz_bdg": {"replicates": 20_000, "grid_n": 512,
+                       "params": {"weights": weights4, "stability_factor": 10.0,
+                                  "envelope": 50.0}},
     }
     if name not in defaults:
         raise LabError(f"unknown experiment {name!r}; known: {', '.join(sorted(EXPERIMENTS))}")
@@ -980,5 +908,12 @@ def run_experiment(cfg) -> ExperimentResult:
     if cfg.experiment not in EXPERIMENTS:
         raise LabError(
             f"unknown experiment {cfg.experiment!r}; known: {', '.join(sorted(EXPERIMENTS))}"
+        )
+    known = experiment_defaults(cfg.experiment)["params"]
+    unknown = sorted(repr(key) for key in cfg.params if key not in known)
+    if unknown:
+        raise LabError(
+            f"{cfg.experiment}: unknown params {', '.join(unknown)};"
+            f" known: {', '.join(sorted(known))}"
         )
     return EXPERIMENTS[cfg.experiment](cfg)

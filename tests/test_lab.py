@@ -1,5 +1,7 @@
 """Tests for the experiment lab: constants, quasi-metrics, experiment runs."""
 
+from fnmatch import fnmatch
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -110,6 +112,18 @@ def test_unknown_experiment_rejected():
         run_experiment(ExperimentConfig(experiment="nope"))
     with pytest.raises(LabError, match="unknown experiment"):
         experiment_defaults("nope")
+
+
+def test_unknown_params_rejected():
+    with pytest.raises(LabError, match=r"'horizn'.*known: .*horizon"):
+        small("good_lambda", horizn=9.0)
+    # keys are per experiment: another experiment's knob is unknown here
+    with pytest.raises(LabError, match="'orlicz_grid_n'"):
+        small("isometry", orlicz_grid_n=8)
+    # the knobs the suite and the benchmark pass stay known
+    for name, key in (("lenglart", "pairs"), ("moment_constant", "orders"),
+                      ("young", "extra_gauges"), ("lenglart", "orlicz_grid_n")):
+        assert key in experiment_defaults(name)["params"]
 
 
 def test_registry_and_defaults_cover_each_other():
@@ -282,6 +296,39 @@ def test_lenglart_certified_constant_and_scaling():
     # hypothesis rows tight: ratio near 1 for the genuinely stopped window
     row = by_label["hypothesis:orlicz:half-horizon"]
     assert row.ratio == pytest.approx(1.0, abs=0.15)
+
+
+def test_lenglart_orlicz_pair_runs_every_replicate():
+    res = small("lenglart", replicates=40_100, pairs="orlicz", orlicz_grid_n=8)
+    row = {r.label: r for r in res.reports}["hypothesis:orlicz:half-horizon"]
+    assert row.lhs.n == 40_100
+
+
+# rows whose slack is the paired stderr of lhs - bound * rhs; all others
+# carry the combined stderr of the two sides
+PAIRED_ROWS = [
+    ("isometry", {}, ["isometry-*"]),
+    ("good_lambda", {}, []),
+    ("bdg_scalar", {}, ["bdg-*"]),
+    ("doob_orlicz", {}, ["hypothesis:*", "conclusion:*"]),
+    ("lenglart", {"orlicz_grid_n": 64}, ["tail:scalar:*", "conclusion:scalar:certified",
+                                          "hypothesis:orlicz:*", "conclusion:orlicz:doob",
+                                          "sweep:orlicz:T*"]),
+    ("orlicz_bdg", {}, ["reverse:*:power_2:*", "single-atom-fwd"]),
+    # forward rows stay unpaired even when the envelope is 1
+    ("orlicz_bdg", {"envelope": 1.0}, ["reverse:*:power_2:*", "reverse:*:lambda_2:*",
+                                       "single-atom-fwd"]),
+]
+
+
+@pytest.mark.parametrize("name, params, paired", PAIRED_ROWS)
+def test_paired_slack_inventory(name, params, paired):
+    res = small(name, replicates=1024, grid_n=64, **params)
+    assert not res.notes.get("audit_failed")  # the gated conclusion rows are present
+    for r in res.reports:
+        assert (r.slack_stderr is not None) == any(fnmatch(r.label, pat) for pat in paired), r.label
+    for pat in paired:
+        assert any(fnmatch(r.label, pat) for r in res.reports), pat
 
 
 def test_orlicz_bdg_row_inventory_and_stability():
