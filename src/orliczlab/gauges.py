@@ -32,13 +32,11 @@ __all__ = [
     "BracketError",
     "GrowthFunction",
     "GaugeClassReport",
-    "ProbeConfig",
     "make_gauge",
     "gauge_from_config",
     "phi_of",
     "psi_of",
     "varphi_of",
-    "inverse_transforms",
     "complementary_gauge",
     "young_gap",
     "kappa_probe",
@@ -346,20 +344,13 @@ def _numeric_gauge(ev: Callable, label: str, source: str) -> GrowthFunction:
 # scaling transforms
 
 
-def phi_of(
-    gauge: GrowthFunction,
-    s: float,
-    *,
-    rel_tol: float = 1e-6,
-    start_points: int = 4096,
-    max_points: int = 1 << 20,
-    use_closed: bool = True,
-) -> float:
+def phi_of(gauge: GrowthFunction, s: float, *, use_closed: bool = True) -> float:
     """sup_t L(s t)/L(t), closed form when available else a refined grid sup.
 
-    The numeric value is a supremum over a geometric t-grid, refined until
-    two consecutive refinements agree to ``rel_tol`` relative; it is a lower
-    bound of the true supremum that dominates every probed ratio.
+    The numeric value is a supremum over a geometric t-grid of 4096 points,
+    doubled until two consecutive refinements agree to 1e-6 relative or the
+    grid reaches 2^20 points; it is a lower bound of the true supremum that
+    dominates every probed ratio.
     """
     s = float(s)
     if s <= 0.0:
@@ -367,7 +358,7 @@ def phi_of(
     if use_closed and gauge._phi_closed is not None:
         return float(gauge._phi_closed(s))
     floor = gauge.domain_floor
-    points = start_points
+    points = 4096
     prev = None
     while True:
         t = np.geomspace(floor, 1.0 / floor, points)
@@ -380,20 +371,21 @@ def phi_of(
                 f"phi transform: gauge {gauge.label} overflowed on the probe grid"
             )
         cur = float(ratio.max())
-        if prev is not None and abs(cur - prev) <= rel_tol * max(abs(cur), 1e-300):
+        if prev is not None and abs(cur - prev) <= 1e-6 * max(abs(cur), 1e-300):
             return cur
-        if points >= max_points:
+        if points >= 1 << 20:
             return cur
         prev = cur
         points *= 2
 
 
-def psi_of(gauge: GrowthFunction, t: float, *, rel_tol: float = 1e-9) -> float:
+def psi_of(gauge: GrowthFunction, t: float) -> float:
     """inf {s >= 0 : phi(s) >= t}, by bisection on the monotone transform.
 
-    Returns the upper bisection end, so phi(psi_of(t)) >= t holds for the
-    returned approximant.  Returns 0.0 when phi never drops below t on the
-    probe range (possible only outside the vanishing-scaling class).
+    Bisects to 1e-9 relative and returns the upper end, so
+    phi(psi_of(t)) >= t holds for the returned approximant.  Returns 0.0
+    when phi never drops below t on the probe range (possible only outside
+    the vanishing-scaling class).
     """
     t = float(t)
     if t <= 0.0:
@@ -416,7 +408,7 @@ def psi_of(gauge: GrowthFunction, t: float, *, rel_tol: float = 1e-9) -> float:
             lo = hi
             if hi > 1e30:
                 raise BracketError("psi transform: no upper bracket")
-    while hi - lo > rel_tol * hi:
+    while hi - lo > 1e-9 * hi:
         mid = 0.5 * (lo + hi)
         if phi(mid) >= t:
             hi = mid
@@ -425,18 +417,13 @@ def psi_of(gauge: GrowthFunction, t: float, *, rel_tol: float = 1e-9) -> float:
     return hi
 
 
-def varphi_of(gauge: GrowthFunction, t: float, *, rel_tol: float = 1e-9) -> float:
+def varphi_of(gauge: GrowthFunction, t: float) -> float:
     """1 / psi(1 / t); +inf when psi(1/t) = 0."""
     t = float(t)
     if t <= 0.0:
         raise GaugeError(f"varphi transform needs t > 0, got {t}")
-    denom = psi_of(gauge, 1.0 / t, rel_tol=rel_tol)
+    denom = psi_of(gauge, 1.0 / t)
     return math.inf if denom == 0.0 else 1.0 / denom
-
-
-def inverse_transforms(gauge: GrowthFunction, t: float) -> tuple[float, float]:
-    """(psi(t), varphi(t)) for t > 0."""
-    return psi_of(gauge, t), varphi_of(gauge, t)
 
 
 # ---------------------------------------------------------------------------
@@ -474,14 +461,14 @@ def _right_inverse_of_derivative(gauge: GrowthFunction) -> Callable:
     return atilde
 
 
-def complementary_gauge(gauge: GrowthFunction, *, probe: "ProbeConfig | None" = None) -> GrowthFunction:
+def complementary_gauge(gauge: GrowthFunction) -> GrowthFunction:
     """Complementary gauge of an N-function.
 
     Uses the closed form when the family has one, else integrates the right
     inverse of the right derivative.  Raises :class:`NotNFunctionError` when
     the strict N-function probe rejects the gauge.
     """
-    report = classify_gauge(gauge, probe=probe)
+    report = classify_gauge(gauge)
     if not report.is_N_function:
         raise NotNFunctionError(
             f"gauge {gauge.label} failed the N-function probe; no complementary gauge"
@@ -520,37 +507,29 @@ def young_gap(gauge: GrowthFunction, comp: GrowthFunction, s, t):
 # kappa integral
 
 
-def kappa_probe(
-    gauge: GrowthFunction,
-    t_grid: np.ndarray | None = None,
-    *,
-    tail_rel: float = 1e-8,
-    max_upper: float = 512.0,
-) -> tuple[float | None, str]:
-    """Worst ratio of int_0^1 L(s t)/s^2 ds to L(t) over a t-grid.
+def kappa_probe(gauge: GrowthFunction) -> tuple[float | None, str]:
+    """Worst ratio of int_0^1 L(s t)/s^2 ds to L(t) over 13 geometric t in [1e-3, 1e3].
 
-    The integral is computed under s = e^-u, growing the upper limit until
-    the last chunk contributes less than ``tail_rel`` of the running total.
-    Returns (None, diagnostic) when the integral fails to converge.
+    The integral is computed under s = e^-u, doubling the upper limit until
+    the last chunk contributes less than 1e-8 of the running total.
+    Returns (None, diagnostic) when the integral fails to converge by u = 512.
     """
-    if t_grid is None:
-        t_grid = np.geomspace(1e-3, 1e3, 13)
     worst = 0.0
-    for t in np.asarray(t_grid, dtype=float):
+    for t in np.geomspace(1e-3, 1e3, 13):
         integrand = lambda u, t=t: float(gauge(t * math.exp(-u))) * math.exp(u)
         total = 0.0
         lo, hi = 0.0, 4.0
         converged = False
-        while hi <= max_upper:
+        while hi <= 512.0:
             chunk, _ = _sint.quad(integrand, lo, hi, epsabs=1e-12, epsrel=1e-10, limit=200)
             total += chunk
-            if chunk <= tail_rel * total and lo > 0.0:
+            if chunk <= 1e-8 * total and lo > 0.0:
                 converged = True
                 break
             lo, hi = hi, hi * 2.0
         if not converged:
             return None, (
-                f"kappa integral did not converge for t={t:g}: upper limit {max_upper} reached"
+                f"kappa integral did not converge for t={t:g}: upper limit 512.0 reached"
                 " with a non-vanishing tail"
             )
         denom = float(gauge(np.float64(t)))
@@ -563,22 +542,11 @@ def kappa_probe(
 # ---------------------------------------------------------------------------
 # classification
 
-
-@dataclass(frozen=True)
-class ProbeConfig:
-    """Grid shape and thresholds for the empirical class probes."""
-
-    floor: float = 1e-8
-    ceil: float = 1e8
-    points_per_decade: int = 32
-    lambda_grid: tuple[float, ...] = (1.5, 2.0, 4.0)
-    a0_growth_slack: float = 1.25
-    a0_vanish_ratio: float = 0.5
-    a1_scales: int = 14
-    a1_threshold: float = 0.05
-    n_lower_ratio: float = 0.2
-    n_upper_ratio: float = 5.0
-    convexity_slack: float = 1e-9
+# Probe range [_FLOOR, _CEIL]: _DECADES decades, _PER_DECADE geometric points each.
+_FLOOR, _CEIL, _DECADES = 1e-8, 1e8, 16
+_PER_DECADE = 32
+# Dilations at which the A0 probe measures sup_t L(lam t)/L(t).
+_LAMBDAS = (1.5, 2.0, 4.0)
 
 
 @dataclass(frozen=True)
@@ -604,13 +572,10 @@ class GaugeClassReport:
     kappa_value: float | None
     a2_operational: bool
     rv_index: float | None
-    probe: ProbeConfig
 
 
-def _probe_grid(probe: ProbeConfig) -> np.ndarray:
-    decades = math.log10(probe.ceil / probe.floor)
-    n = max(int(round(decades * probe.points_per_decade)) + 1, 16)
-    return np.geomspace(probe.floor, probe.ceil, n)
+def _probe_grid() -> np.ndarray:
+    return np.geomspace(_FLOOR, _CEIL, _DECADES * _PER_DECADE + 1)
 
 
 def _finite_c_lambda(gauge: GrowthFunction, lam: float, t: np.ndarray) -> np.ndarray:
@@ -619,8 +584,10 @@ def _finite_c_lambda(gauge: GrowthFunction, lam: float, t: np.ndarray) -> np.nda
     return ratio
 
 
-def _is_a0(gauge: GrowthFunction, probe: ProbeConfig):
-    t = _probe_grid(probe)
+def _is_a0(gauge: GrowthFunction):
+    """Positive, nondecreasing, L(_FLOOR) <= L(1)/2, and the lambda = 2
+    ratio over the top decade within 1.25 times the two decades before."""
+    t = _probe_grid()
     with np.errstate(over="ignore", invalid="ignore"):
         vals = gauge(t)
     if not (np.all(np.isfinite(vals)) and np.all(vals > 0.0)):
@@ -628,60 +595,57 @@ def _is_a0(gauge: GrowthFunction, probe: ProbeConfig):
     if np.any(np.diff(vals) < -1e-12 * vals[:-1]):
         return False, math.inf
     v1 = float(gauge(np.float64(1.0)))
-    vanishes = float(vals[0]) <= probe.a0_vanish_ratio * v1
+    vanishes = float(vals[0]) <= 0.5 * v1
     worst = 0.0
     stable = True
-    per_dec = probe.points_per_decade
-    for lam in probe.lambda_grid:
-        sub = t[t * lam <= probe.ceil]
+    for lam in _LAMBDAS:
+        sub = t[t * lam <= _CEIL]
         ratio = _finite_c_lambda(gauge, lam, sub)
         if not np.all(np.isfinite(ratio)):
             return False, math.inf
         worst = max(worst, float(ratio.max()))
-        if lam == 2.0 and ratio.size > 3 * per_dec:
-            top = float(ratio[-per_dec:].max())
-            prior = float(ratio[-3 * per_dec : -per_dec].max())
-            stable = top <= probe.a0_growth_slack * prior
+        if lam == 2.0 and ratio.size > 3 * _PER_DECADE:
+            top = float(ratio[-_PER_DECADE:].max())
+            prior = float(ratio[-3 * _PER_DECADE : -_PER_DECADE].max())
+            stable = top <= 1.25 * prior
     return bool(vanishes and stable), worst
 
 
-def _phi_decay(gauge: GrowthFunction, probe: ProbeConfig):
-    scales = 0.5 ** np.arange(1, probe.a1_scales + 1)
+def _phi_decay(gauge: GrowthFunction):
+    """phi decreasing over s = 2^-1 .. 2^-14 and at most 0.05 at the end."""
+    scales = 0.5 ** np.arange(1, 15)
     vals = np.array([phi_of(gauge, s) for s in scales])
     decreasing = np.all(np.diff(vals) <= 1e-9 * np.maximum(vals[:-1], 1e-300))
     smallest = float(vals[-1])
-    return bool(decreasing and smallest <= probe.a1_threshold), smallest
+    return bool(decreasing and smallest <= 0.05), smallest
 
 
-def _diverges(gauge: GrowthFunction, probe: ProbeConfig) -> bool:
+def _diverges(gauge: GrowthFunction) -> bool:
     with np.errstate(over="ignore"):
-        hi = float(gauge(np.float64(probe.ceil)))
+        hi = float(gauge(np.float64(_CEIL)))
     return math.isfinite(hi) and hi >= 100.0 * float(gauge(np.float64(1.0)))
 
 
-def _n_limits(gauge: GrowthFunction, probe: ProbeConfig) -> bool:
-    t = np.array([probe.floor, 1.0, probe.ceil])
+def _n_limits(gauge: GrowthFunction) -> bool:
+    """L(t)/t at _FLOOR at most 0.2 times its value at 1, at _CEIL at least 5 times."""
+    t = np.array([_FLOOR, 1.0, _CEIL])
     with np.errstate(over="ignore"):
         rho = gauge(t) / t
     if not np.all(np.isfinite(rho)):
         return False
-    return bool(
-        rho[0] <= probe.n_lower_ratio * rho[1]
-        and rho[2] >= probe.n_upper_ratio * rho[1]
-    )
+    return bool(rho[0] <= 0.2 * rho[1] and rho[2] >= 5.0 * rho[1])
 
 
-def _convex_fine(gauge: GrowthFunction, probe: ProbeConfig) -> bool:
-    t = _probe_grid(probe)
+def _convex_fine(gauge: GrowthFunction) -> bool:
+    t = _probe_grid()
     vals = gauge(t)
     slopes = np.diff(vals) / np.diff(t)
-    drops = np.diff(slopes) < -probe.convexity_slack * np.maximum(slopes[:-1], 1e-300)
+    drops = np.diff(slopes) < -1e-9 * np.maximum(slopes[:-1], 1e-300)
     return not bool(np.any(drops))
 
 
-def _convex_decade_chords(gauge: GrowthFunction, probe: ProbeConfig) -> bool:
-    decades = int(math.floor(math.log10(probe.ceil / probe.floor)))
-    t = probe.floor * 10.0 ** np.arange(decades + 1)
+def _convex_decade_chords(gauge: GrowthFunction) -> bool:
+    t = _FLOOR * 10.0 ** np.arange(_DECADES + 1)
     vals = gauge(t)
     a, m, b = t[:-2], t[1:-1], t[2:]
     fa, fm, fb = vals[:-2], vals[1:-1], vals[2:]
@@ -689,8 +653,8 @@ def _convex_decade_chords(gauge: GrowthFunction, probe: ProbeConfig) -> bool:
     return bool(np.all(fm <= interp * (1.0 + 1e-9)))
 
 
-def _rv_slope(gauge: GrowthFunction, probe: ProbeConfig) -> float | None:
-    t = np.geomspace(probe.floor, probe.floor * 100.0, 9)
+def _rv_slope(gauge: GrowthFunction) -> float | None:
+    t = np.geomspace(_FLOOR, _FLOOR * 100.0, 9)
     with np.errstate(divide="ignore"):
         x = np.log(t)
         y = np.log(gauge(t))
@@ -700,26 +664,25 @@ def _rv_slope(gauge: GrowthFunction, probe: ProbeConfig) -> float | None:
     return float(slope)
 
 
-def classify_gauge(gauge: GrowthFunction, probe: ProbeConfig | None = None) -> GaugeClassReport:
+def classify_gauge(gauge: GrowthFunction) -> GaugeClassReport:
     """Empirical class report for a gauge (finite-probe evidence, not proof)."""
-    probe = probe or ProbeConfig()
-    is_a0, c_worst = _is_a0(gauge, probe)
+    is_a0, c_worst = _is_a0(gauge)
     if is_a0:
-        decay_ok, smallest = _phi_decay(gauge, probe)
-        is_a1 = decay_ok and _diverges(gauge, probe)
+        decay_ok, smallest = _phi_decay(gauge)
+        is_a1 = decay_ok and _diverges(gauge)
     else:
         smallest = math.nan
         is_a1 = False
-    limits_ok = _n_limits(gauge, probe)
-    is_n = bool(limits_ok and _convex_fine(gauge, probe))
-    wide_n = bool(limits_ok and _convex_decade_chords(gauge, probe))
+    limits_ok = _n_limits(gauge)
+    is_n = bool(limits_ok and _convex_fine(gauge))
+    wide_n = bool(limits_ok and _convex_decade_chords(gauge))
     kappa_val, diag = kappa_probe(gauge) if is_a0 else (None, "kappa probe skipped: not moderately increasing")
     kappa_a2 = kappa_val if (kappa_val is not None and is_a1 and is_n) else None
     a2_op = bool(is_a1 and wide_n and kappa_val is not None)
     if gauge.rv_index_closed is not None:
         rv = float(gauge.rv_index_closed)
     else:
-        rv = _rv_slope(gauge, probe)
+        rv = _rv_slope(gauge)
     return GaugeClassReport(
         gauge_label=gauge.label,
         is_A0=is_a0,
@@ -732,7 +695,6 @@ def classify_gauge(gauge: GrowthFunction, probe: ProbeConfig | None = None) -> G
         kappa_value=kappa_val,
         a2_operational=a2_op,
         rv_index=rv,
-        probe=probe,
     )
 
 

@@ -38,10 +38,7 @@ __all__ = [
     "eta_paths",
     "triple_norm_path",
     "coarsen_samples",
-    "truncate_values",
-    "restrict_after",
     "PROCESS_RULES",
-    "integral_to_csv",
 ]
 
 
@@ -89,33 +86,6 @@ def triple_norm_path(
 ) -> np.ndarray:
     """Modular of sqrt(eta) across atoms: shape (reps, n+1)."""
     return modular_of_norms(np.sqrt(eta), space.weights, gauge)
-
-
-def restrict_after(values: np.ndarray, start_idx: np.ndarray) -> np.ndarray:
-    """Zero a process before a per-replicate grid index (X * 1_[sigma, inf))."""
-    values = np.asarray(values, dtype=float)
-    k = np.arange(values.shape[1])
-    mask = k[None, :] >= np.asarray(start_idx, dtype=np.int64)[:, None]
-    return values * mask[:, :, None, None]
-
-
-def truncate_values(
-    values: np.ndarray, level: float, member_mask: np.ndarray | None = None
-) -> np.ndarray:
-    """Soft truncation: X * chi(|X|) * 1_members, with chi = clip(level - s, 0, 1).
-
-    chi equals 1 up to level - 1 and 0 past the level, so the result's
-    pointwise norm never exceeds the level.
-    """
-    if level <= 0.0:
-        raise ProcessError(f"truncation level must be positive, got {level}")
-    values = np.asarray(values, dtype=float)
-    norms = np.linalg.norm(values, axis=-1)
-    chi = np.clip(level - norms, 0.0, 1.0)
-    out = values * chi[..., None]
-    if member_mask is not None:
-        out = out * np.asarray(member_mask, dtype=float)[None, None, :, None]
-    return out
 
 
 def coarsen_samples(values: np.ndarray, grid: PathGrid, m: int) -> np.ndarray:
@@ -268,7 +238,7 @@ class ProcessSpec:
     def min_coords(self) -> int:
         if self.rule == "two_coord_mix":
             return 2
-        if self.rule in ("coarsen_m", "truncation_n"):
+        if self.rule == "coarsen_m":
             return _inner_spec(self).min_coords
         return 1
 
@@ -276,8 +246,6 @@ class ProcessSpec:
     def label(self) -> str:
         if self.rule == "coarsen_m":
             return f"{_inner_spec(self).label}+J{self.params.get('m', 8)}"
-        if self.rule == "truncation_n":
-            return f"{_inner_spec(self).label}+chi{self.params.get('level', 2)}"
         return self.rule
 
     def realize(self, paths: np.ndarray, grid: PathGrid, space: DiscreteMeasureSpace) -> RealizedProcess:
@@ -336,19 +304,13 @@ def _realize_rule(spec: ProcessSpec, paths, grid: PathGrid, space: DiscreteMeasu
         inner = _inner_spec(spec).realize(paths, grid, space)
         coarse = coarsen_samples(np.moveaxis(inner.values, 1, -1), grid, m)
         return RealizedProcess(grid, space, np.moveaxis(coarse, -1, 1), spec.label)
-    if spec.rule == "truncation_n":
-        level = float(spec.params.get("level", 2.0))
-        members = spec.params.get("members")
-        mask = None if members is None else np.asarray(members, dtype=bool)
-        inner = _inner_spec(spec).realize(paths, grid, space)
-        return RealizedProcess(grid, space, truncate_values(inner.values, level, mask), spec.label)
     raise ProcessError(f"unknown integrand rule {spec.rule!r}")
 
 
 def build_process(cfg: dict | ProcessSpec) -> ProcessSpec:
     """Validate a rule config and return its ProcessSpec."""
     spec = cfg if isinstance(cfg, ProcessSpec) else ProcessSpec.from_config(cfg)
-    if spec.rule in ("coarsen_m", "truncation_n"):
+    if spec.rule == "coarsen_m":
         _inner_spec(spec)
     return spec
 
@@ -359,20 +321,4 @@ PROCESS_RULES: dict[str, str] = {
     "B1_times_e1": "first driver coordinate times the first basis vector",
     "two_coord_mix": "two-coordinate mix with per-atom magnitudes and tanh feedback",
     "coarsen_m": "delayed block-average wrapper around an inner integrand",
-    "truncation_n": "soft truncation wrapper around an inner integrand",
 }
-
-
-def integral_to_csv(path, integral: np.ndarray) -> None:
-    """Dump integral paths (replicates, steps + 1, atoms) as rows
-    (replicate, atom, k, value)."""
-    import csv
-
-    values = np.asarray(integral, dtype=float)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("replicate", "atom", "k", "value"))
-        for r in range(values.shape[0]):
-            for a in range(values.shape[2]):
-                for k in range(values.shape[1]):
-                    writer.writerow((r, a, k, repr(float(values[r, k, a]))))

@@ -28,19 +28,21 @@ Experiments
 Writing a Monte Carlo experiment
 --------------------------------
 Resolve sizes and params with ``_resolve``: every param key it reads has a
-default in ``experiment_defaults``, and ``run_experiment`` rejects any
-other.  Loop once over ``_views(seed, name, coords, grid, replicates,
-batch, factor)``, which yields ``(tag, batch)`` per driver batch; with
-``factor=4`` each batch comes as ``"4n"`` on the fine grid, then as
-``"n"`` coarsened.  In the loop, feed both sides of each inequality to one
-``_Tally`` with ``add(key, lhs, rhs, *bounds)``, listing the bounds whose
-rows should carry the paired slack.  After the loop, build the rows with
-``_Tally.row`` (``reverse=True`` checks rhs against lhs) and take grid
-steps from the views.
+default in ``experiment_defaults``.  ``run_experiment`` rejects any other
+key, and a value that is not a number (or a list of numbers) where the
+default is one.  Loop once over ``_views(seed, name, coords, grid,
+replicates, batch, factor)``, which yields ``(tag, batch)`` per driver
+batch; with ``factor=4`` each batch comes as ``"4n"`` on the fine grid,
+then as ``"n"`` coarsened.  In the loop, feed both sides of each
+inequality to one ``_Tally`` with ``add(key, lhs, rhs, *bounds)``, listing
+the bounds whose rows should carry the paired slack.  After the loop,
+build the rows with ``_Tally.row`` (``reverse=True`` checks rhs against
+lhs) and take grid steps from the views.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -276,8 +278,7 @@ def _sweep_rows(pair, tally, ratios, stability_factor, grid_n):
 
 def run_young(cfg) -> ExperimentResult:
     """Young's inequality st <= L(s) + comp(t) for strict N-function gauges."""
-    _, _, params = _resolve(cfg)
-    grid_pts = int(params["grid_points"])
+    _, grid_pts, params = _resolve(cfg)
     s_grid = np.geomspace(0.05, 20.0, grid_pts)
     t_grid = np.geomspace(0.05, 20.0, grid_pts)
     candidates = list(registry_gauges().items())
@@ -401,6 +402,11 @@ def run_good_lambda(cfg) -> ExperimentResult:
     factor = 4
     betas = tuple(params["betas"])
     deltas = tuple(params["deltas"])
+    for key, values in (("betas", betas), ("deltas", deltas)):
+        repeated = [v for i, v in enumerate(values) if v in values[:i]]
+        if repeated:
+            # tail rows are keyed by value: a repeat would merge two passes into one row
+            raise LabError(f"good_lambda: params.{key} repeats the value {repeated[0]!r}")
     lambdas = np.asarray(params["lambdas"], dtype=float)
     fine_grid = PathGrid(params["horizon"], n * factor)
 
@@ -876,7 +882,7 @@ def experiment_defaults(name: str) -> dict:
     weights4 = [1.0, 1.0, 2.0, 0.5]
     defaults = {
         "young": {"replicates": 0, "grid_n": 32,
-                  "params": {"grid_points": 32, "extra_gauges": []}},
+                  "params": {"extra_gauges": []}},
         "moment_constant": {"replicates": 0, "grid_n": 0,
                             "params": {"betas": betas, "deltas": deltas, "orders": (1.0, 2.0)}},
         "isometry": {"replicates": 100_000, "grid_n": 256,
@@ -903,6 +909,14 @@ def experiment_defaults(name: str) -> dict:
     return defaults[name]
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _is_reals(value) -> bool:
+    return isinstance(value, (list, tuple, np.ndarray)) and all(map(_is_real, value))
+
+
 def run_experiment(cfg) -> ExperimentResult:
     """Dispatch a validated config to its experiment."""
     if cfg.experiment not in EXPERIMENTS:
@@ -916,4 +930,13 @@ def run_experiment(cfg) -> ExperimentResult:
             f"{cfg.experiment}: unknown params {', '.join(unknown)};"
             f" known: {', '.join(sorted(known))}"
         )
+    for key, value in cfg.params.items():
+        # a numeric default fixes the type; other defaults (pairs, gauges) are free-form
+        default = known[key]
+        if _is_real(default) and not _is_real(value):
+            raise LabError(f"{cfg.experiment}: params.{key} must be a number, got {value!r}")
+        if _is_reals(default) and len(default) and not _is_reals(value):
+            raise LabError(
+                f"{cfg.experiment}: params.{key} must be a list of numbers, got {value!r}"
+            )
     return EXPERIMENTS[cfg.experiment](cfg)

@@ -21,20 +21,14 @@ from ._rng import substream
 
 __all__ = [
     "PathGrid",
-    "BrownianBundle",
     "BrownianBatch",
-    "StoppingTimeSpec",
     "simulate_increments",
-    "simulate_bundle",
     "simulate_batch",
     "coarsen_increments",
     "paths_from_increments",
     "running_abs_max",
     "quadratic_variation",
-    "path_functionals",
     "hitting_index",
-    "stop_indices",
-    "batch_to_csv",
 ]
 
 
@@ -65,9 +59,6 @@ class PathGrid:
         if not (0 <= k <= self.steps) or abs(k * self.dt - t) > 1e-9 * max(self.horizon, 1.0):
             raise ValueError(f"time {t} is not aligned with the grid (dt={self.dt})")
         return k
-
-    def refined(self, factor: int) -> "PathGrid":
-        return PathGrid(self.horizon, self.steps * factor)
 
 
 def simulate_increments(
@@ -110,38 +101,6 @@ def coarsen_increments(increments: np.ndarray, factor: int) -> np.ndarray:
         raise ValueError(f"cannot coarsen {n} increments by factor {factor}")
     shaped = inc.reshape(inc.shape[:-1] + (n // factor, factor))
     return shaped.sum(axis=-1)
-
-
-@dataclass(frozen=True)
-class BrownianBundle:
-    """A simulated driver: grid, per-coordinate increments and paths."""
-
-    grid: PathGrid
-    coords: int
-    increments: np.ndarray  # (coords, steps)
-    seed: int
-    stream: tuple = ()
-    _paths: np.ndarray = field(default=None, repr=False)
-
-    @property
-    def paths(self) -> np.ndarray:  # (coords, steps + 1)
-        return self._paths
-
-    def coordinate(self, j: int) -> np.ndarray:
-        return self._paths[j]
-
-
-def simulate_bundle(seed: int, coords: int, grid: PathGrid, stream=("bundle",)) -> BrownianBundle:
-    """One driver realization with per-coordinate substreams."""
-    inc = simulate_increments(seed, stream, coords, grid, replicates=1)[0]
-    return BrownianBundle(
-        grid=grid,
-        coords=coords,
-        increments=inc,
-        seed=seed,
-        stream=tuple(stream),
-        _paths=paths_from_increments(inc),
-    )
 
 
 @dataclass(frozen=True)
@@ -208,36 +167,8 @@ def quadratic_variation(increments: np.ndarray) -> np.ndarray:
     return out
 
 
-def path_functionals(bundle: BrownianBundle) -> dict:
-    """Running |sup|, terminal value and quadratic variation per coordinate."""
-    return {
-        "running_abs_max": running_abs_max(bundle.paths),
-        "terminal": bundle.paths[..., -1],
-        "quadratic_variation": quadratic_variation(bundle.increments),
-    }
-
-
 # ---------------------------------------------------------------------------
 # stopping times
-
-
-@dataclass(frozen=True)
-class StoppingTimeSpec:
-    """Grid stopping rule.
-
-    kinds: ``deterministic`` (params: T), ``first_exit_abs`` (params:
-    level, coord — first grid index where |B| reaches the level, capped at
-    the horizon), ``triple_norm`` (params: level — resolved by the caller
-    against a seminorm path, strict crossing).
-    """
-
-    kind: str
-    params: dict
-
-    def __post_init__(self):
-        known = {"deterministic", "first_exit_abs", "triple_norm"}
-        if self.kind not in known:
-            raise ValueError(f"unknown stopping time kind {self.kind!r}")
 
 
 def hitting_index(values: np.ndarray, level: float, mode: str = "weak") -> tuple[np.ndarray, np.ndarray]:
@@ -259,36 +190,3 @@ def hitting_index(values: np.ndarray, level: float, mode: str = "weak") -> tuple
     sentinel = values.shape[-1] - 1
     idx = np.where(hit, idx, sentinel)
     return idx.astype(np.int64), hit
-
-
-def stop_indices(spec: StoppingTimeSpec, grid: PathGrid, paths: np.ndarray) -> np.ndarray:
-    """Grid indices of a stopping rule applied to driver paths.
-
-    ``paths`` has shape (..., coords, steps + 1); the result drops the
-    coordinate axis.  Deterministic rules must land on the grid.
-    """
-    if spec.kind == "deterministic":
-        k = grid.index_of(float(spec.params["T"]))
-        base = paths.shape[:-2] if paths.ndim >= 2 else ()
-        return np.full(base, k, dtype=np.int64)
-    if spec.kind == "first_exit_abs":
-        coord = int(spec.params.get("coord", 0))
-        level = float(spec.params["level"])
-        track = np.abs(paths[..., coord, :])
-        idx, _ = hitting_index(track, level, mode="weak")
-        return idx
-    raise ValueError(f"stopping kind {spec.kind!r} needs a seminorm path; use hitting_index")
-
-
-def batch_to_csv(path, batch: BrownianBatch) -> None:
-    """Dump driver paths as rows (replicate, coordinate, k, value)."""
-    import csv
-
-    values = batch.paths
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("replicate", "coordinate", "k", "value"))
-        for r in range(values.shape[0]):
-            for c in range(values.shape[1]):
-                for k in range(values.shape[2]):
-                    writer.writerow((r, c, k, repr(float(values[r, c, k]))))

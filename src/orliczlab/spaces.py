@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import substream
-from .gauges import BracketError, GaugeError, GrowthFunction, phi_of, varphi_of
+from .gauges import BracketError, GrowthFunction, phi_of, varphi_of
 
 __all__ = [
     "DiscreteMeasureSpace",
@@ -30,8 +30,6 @@ __all__ = [
     "luxemburg_norm",
     "luxemburg_of_norms",
     "verify_norm_relations",
-    "vector_to_csv",
-    "vector_from_csv",
 ]
 
 
@@ -194,22 +192,18 @@ def _alpha_star(gauge: GrowthFunction, grid: np.ndarray) -> float:
 
 
 def verify_norm_relations(
-    space: DiscreteMeasureSpace,
-    gauge: GrowthFunction,
-    *,
-    n_samples: int = 64,
-    dim: int = 2,
-    seed: int = 0,
-    tol: float = 1e-5,
+    space: DiscreteMeasureSpace, gauge: GrowthFunction, *, n_samples: int = 64, seed: int = 0
 ) -> NormRelationReport:
     """Sample vectors and verify the norm/modular sandwich empirically.
 
-    Checks, per sample f: the unit-ball law [f/|f|] <= 1; the two scaling
-    bounds [f] <= phi(|f|) and |f| <= varphi([f]); over consecutive pairs,
-    the quasi-triangle ratio against the smallest alpha on a geometric grid
-    with 2 phi(2/alpha) <= 1; and that norm below ``tol`` forces every atom
-    value below the gauge-inverse envelope.
+    Checks, per sample f with values in R^2: the unit-ball law [f/|f|] <= 1;
+    the two scaling bounds [f] <= phi(|f|) and |f| <= varphi([f]), each to
+    ``tol`` = 1e-5 relative; over consecutive pairs, the quasi-triangle
+    ratio against the smallest alpha on a geometric grid with
+    2 phi(2/alpha) <= 1; and that norm ``tol`` forces every atom value
+    below ``tol`` times the gauge-inverse envelope.
     """
+    dim, tol = 2, 1e-5
     rng = substream(seed, "norm-relations", space.n_atoms, dim)
     scales = np.exp(rng.uniform(-3.0, 3.0, size=n_samples))
     raw = rng.normal(size=(n_samples, space.n_atoms, dim))
@@ -254,33 +248,3 @@ def verify_norm_relations(
         faithful_ratio=faithful,
         passed=passed,
     )
-
-
-def vector_to_csv(path, f: OrliczVector) -> None:
-    """Dump one vector as rows (atom_id, coord_index, value)."""
-    import csv
-
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("atom_id", "coord_index", "value"))
-        for a in range(f.space.n_atoms):
-            for j in range(f.values.shape[1]):
-                writer.writerow((a, j, repr(float(f.values[a, j]))))
-
-
-def vector_from_csv(path, space: DiscreteMeasureSpace) -> OrliczVector:
-    """Rebuild a vector from a (atom_id, coord_index, value) dump."""
-    import csv
-
-    entries = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            entries[(int(row["atom_id"]), int(row["coord_index"]))] = float(row["value"])
-    if not entries:
-        raise ValueError(f"vector csv {path} has no rows")
-    dim = 1 + max(j for _, j in entries)
-    values = np.zeros((space.n_atoms, dim))
-    for (a, j), v in entries.items():
-        values[a, j] = v
-    return OrliczVector(space, values)

@@ -32,14 +32,6 @@ class McEstimate:
     n: int
 
     @staticmethod
-    def from_samples(samples) -> "McEstimate":
-        x = np.asarray(samples, dtype=float).ravel()
-        if x.size == 0:
-            raise ValueError("cannot estimate from an empty sample")
-        se = float(x.std(ddof=1) / math.sqrt(x.size)) if x.size > 1 else 0.0
-        return McEstimate(float(x.mean()), se, int(x.size))
-
-    @staticmethod
     def exact(value: float, n: int = 1) -> "McEstimate":
         """A deterministic quantity dressed as an estimate (zero stderr)."""
         return McEstimate(float(value), 0.0, n)

@@ -177,13 +177,6 @@ def test_psi_degenerate_for_saturating_transform():
     assert G.varphi_of(g, 2.0) == math.inf
 
 
-def test_inverse_transforms_pair():
-    g = G.make_gauge("power", p=3.0)
-    psi, varphi = G.inverse_transforms(g, 8.0)
-    assert psi == pytest.approx(2.0, rel=1e-8)
-    assert varphi == pytest.approx(2.0, rel=1e-8)
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     s=st.floats(min_value=1e-3, max_value=1e3),

@@ -12,12 +12,9 @@ from orliczlab.integrate import (
     build_process,
     coarsen_samples,
     eta_paths,
-    integral_to_csv,
     ito_integral,
     make_elementary,
-    restrict_after,
     triple_norm_path,
-    truncate_values,
 )
 from orliczlab.paths import PathGrid, hitting_index, simulate_batch
 from orliczlab.spaces import DiscreteMeasureSpace
@@ -86,10 +83,10 @@ class TestExactIdentities:
         bundle = small_bundle(coords=2, n=128, reps=100)
         x = build_process({"rule": "two_coord_mix"}).realize(bundle.paths, bundle.grid, SPACE2)
         sigma, _ = hitting_index(np.abs(bundle.paths[:, 0, :]), 0.5)
-        tail = ito_integral(restrict_after(x.values, sigma), bundle.increments)
+        past_sigma = np.arange(x.values.shape[1])[None, :, None] >= sigma[:, None, None]
+        tail = ito_integral(x.values * past_sigma[..., None], bundle.increments)
         full = x.integral(bundle.increments)
         frozen = full[np.arange(full.shape[0]), sigma, :]
-        past_sigma = np.arange(full.shape[1])[None, :, None] >= sigma[:, None, None]
         stopped = np.where(past_sigma, frozen[:, None, :], full)  # I_{t ∧ sigma}
         assert_allclose(tail, full - stopped, rtol=1e-12, atol=1e-13)
 
@@ -166,29 +163,6 @@ class TestCoarsening:
 
 
 class TestTruncationAndStops:
-    def test_truncation_bounds_norm(self):
-        bundle = small_bundle(coords=2, n=64, reps=100, stream=("itest", "trunc"))
-        spec = build_process({"rule": "truncation_n", "level": 1.5,
-                              "inner": {"rule": "B1_times_e1"}})
-        x = spec.realize(bundle.paths, bundle.grid, SPACE2)
-        norms = np.linalg.norm(x.values, axis=-1)
-        assert norms.max() <= 1.5 + 1e-12
-
-    def test_truncation_eta_dominated_and_identity_when_loose(self):
-        bundle = small_bundle(coords=2, n=64, reps=100, stream=("itest", "trunc2"))
-        inner = build_process({"rule": "two_coord_mix"}).realize(bundle.paths, bundle.grid, SPACE2)
-        tight = truncate_values(inner.values, 1.0)
-        loose = truncate_values(inner.values, 1e9)
-        assert np.all(np.linalg.norm(tight, axis=-1) <= np.linalg.norm(inner.values, axis=-1) + 1e-15)
-        assert np.array_equal(loose, inner.values)
-
-    def test_truncation_member_mask(self):
-        bundle = small_bundle(coords=1, n=32, reps=10, stream=("itest", "mask"))
-        inner = build_process({"rule": "constant_e1"}).realize(bundle.paths, bundle.grid, SPACE2)
-        masked = truncate_values(inner.values, 5.0, member_mask=np.array([True, False]))
-        assert np.all(masked[:, :, 1, :] == 0.0)
-        assert np.array_equal(masked[:, :, 0, :], inner.values[:, :, 0, :])
-
     def test_strict_threshold_on_triple_norm(self):
         bundle = small_bundle(coords=1, n=128, reps=200, stream=("itest", "tau"))
         x = build_process({"rule": "B1_times_e1"}).realize(bundle.paths, bundle.grid, SPACE2)
@@ -213,12 +187,12 @@ class TestSpecsAndValidation:
             build_process({"rule": "coarsen_m", "m": 8})
 
     def test_config_round_trip(self):
-        cfg = {"rule": "truncation_n", "level": 2.0,
+        cfg = {"rule": "coarsen_m", "m": 2,
                "inner": {"rule": "coarsen_m", "m": 4, "inner": {"rule": "two_coord_mix"}}}
         spec = ProcessSpec.from_config(cfg)
         assert spec.to_config() == cfg
         assert spec.min_coords == 2
-        assert spec.label == "two_coord_mix+J4+chi2.0"
+        assert spec.label == "two_coord_mix+J4+J2"
 
     def test_two_coord_mix_needs_two_driver_coords(self):
         bundle = small_bundle(coords=1, n=32, reps=5)
@@ -265,18 +239,3 @@ class TestSpecsAndValidation:
         for lo in range(0, 64, 8):
             assert np.array_equal(vals[:, lo], np.sign(bundle.paths[:, 0, lo]))
             assert np.ptp(vals[:, lo : lo + 8], axis=1).max() == 0.0
-
-
-def test_integral_csv_dump(tmp_path):
-    batch, space = small_bundle(coords=1, n=4, reps=2), SPACE2
-    spec = build_process({"rule": "constant_e1"})
-    realized = spec.realize(batch.paths, batch.grid, space)
-    integral = realized.integral(batch.increments)
-    path = tmp_path / "integral.csv"
-    integral_to_csv(path, integral)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "replicate,atom,k,value"
-    assert len(lines) == 1 + 2 * 2 * 5
-    last = lines[-1].split(",")
-    assert last[:3] == ["1", "1", "4"]
-    assert float(last[3]) == integral[1, 4, 1]

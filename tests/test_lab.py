@@ -126,6 +126,26 @@ def test_unknown_params_rejected():
         assert key in experiment_defaults(name)["params"]
 
 
+def test_param_values_type_checked():
+    with pytest.raises(LabError, match=r"params\.envelope must be a number.*'fifty'"):
+        small("orlicz_bdg", envelope="fifty")
+    with pytest.raises(LabError, match=r"params\.lambdas must be a list of numbers"):
+        small("doob_orlicz", lambdas=["a"])
+    with pytest.raises(LabError, match=r"params\.horizon must be a number"):
+        small("bdg_scalar", horizon=True)
+    # free-form defaults and YAML ints stay accepted
+    assert small("lenglart", replicates=200, grid_n=64, pairs="scalar").reports
+    assert small("bdg_scalar", replicates=200, grid_n=64, horizon=1).passed
+
+
+def test_repeated_good_lambda_values_rejected():
+    # tail rows are keyed by value: a repeat would pool two passes into one row
+    with pytest.raises(LabError, match=r"params\.betas repeats the value 2\.0"):
+        small("good_lambda", replicates=300, betas=[2.0, 2.0])
+    with pytest.raises(LabError, match=r"params\.deltas repeats the value 0\.1"):
+        small("good_lambda", replicates=300, deltas=[0.1, 0.25, 0.1])
+
+
 def test_registry_and_defaults_cover_each_other():
     assert set(EXPERIMENTS) == {
         "young",
@@ -163,6 +183,12 @@ def test_young_accepts_extra_gauge_config():
     res = small("young", extra_gauges=[{"family": "power", "p": 2.5}])
     assert any(r.label.startswith("young-gap:extra0") for r in res.reports)
     assert res.passed
+
+
+def test_young_reads_grid_n():
+    res = small("young", grid_n=64)
+    assert res.grid_n == 64
+    assert res.reports and all(r.grid_n == 64 for r in res.reports)
 
 
 def test_moment_constant_experiment_feasibility_pattern():

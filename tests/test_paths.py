@@ -7,6 +7,12 @@ from numpy.testing import assert_allclose, assert_array_equal
 from orliczlab import paths as P
 
 
+def one_path(seed, coords, grid, stream=("bundle",)):
+    """Increments (coords, steps) and paths (coords, steps + 1) of one replicate."""
+    batch = P.simulate_batch(seed, stream, coords, grid, 1)
+    return batch.increments[0], batch.paths[0]
+
+
 def test_grid_basics():
     grid = P.PathGrid(1.0, 10)
     assert grid.dt == pytest.approx(0.1)
@@ -22,26 +28,26 @@ def test_grid_basics():
 
 def test_simulation_is_deterministic():
     grid = P.PathGrid(1.0, 64)
-    a = P.simulate_bundle(123, 2, grid)
-    b = P.simulate_bundle(123, 2, grid)
-    assert_array_equal(a.paths, b.paths)
-    c = P.simulate_bundle(124, 2, grid)
-    assert not np.array_equal(a.paths, c.paths)
+    _, a = one_path(123, 2, grid)
+    _, b = one_path(123, 2, grid)
+    assert_array_equal(a, b)
+    _, c = one_path(124, 2, grid)
+    assert not np.array_equal(a, c)
 
 
 def test_coordinate_extension_is_stable():
     # adding coordinates must not disturb the existing ones
     grid = P.PathGrid(1.0, 32)
-    two = P.simulate_bundle(7, 2, grid)
-    four = P.simulate_bundle(7, 4, grid)
-    assert_array_equal(four.increments[:2], two.increments)
+    two, _ = one_path(7, 2, grid)
+    four, _ = one_path(7, 4, grid)
+    assert_array_equal(four[:2], two)
 
 
 def test_paths_start_at_zero_and_cumulate():
     grid = P.PathGrid(2.0, 16)
-    b = P.simulate_bundle(5, 3, grid)
-    assert_array_equal(b.paths[:, 0], np.zeros(3))
-    assert_allclose(b.paths[:, 1:], np.cumsum(b.increments, axis=-1))
+    inc, paths = one_path(5, 3, grid)
+    assert_array_equal(paths[:, 0], np.zeros(3))
+    assert_allclose(paths[:, 1:], np.cumsum(inc, axis=-1))
 
 
 def test_marginal_statistics():
@@ -76,16 +82,16 @@ def test_expected_running_max_reflection_value():
 
 def test_path_functionals_shapes_and_values():
     grid = P.PathGrid(1.0, 8)
-    b = P.simulate_bundle(11, 2, grid)
-    f = P.path_functionals(b)
-    assert f["running_abs_max"].shape == (2, 9)
-    assert f["terminal"].shape == (2,)
-    assert f["quadratic_variation"].shape == (2, 9)
-    assert_allclose(f["running_abs_max"][:, -1], np.abs(b.paths).max(axis=-1))
-    assert_allclose(f["quadratic_variation"][:, -1], (b.increments**2).sum(axis=-1))
+    inc, paths = one_path(11, 2, grid)
+    running, qv = P.running_abs_max(paths), P.quadratic_variation(inc)
+    assert running.shape == (2, 9)
+    assert paths[..., -1].shape == (2,)
+    assert qv.shape == (2, 9)
+    assert_allclose(running[:, -1], np.abs(paths).max(axis=-1))
+    assert_allclose(qv[:, -1], (inc**2).sum(axis=-1))
     # running sup is nondecreasing and dominates |B|
-    assert np.all(np.diff(f["running_abs_max"], axis=-1) >= 0.0)
-    assert np.all(f["running_abs_max"] >= np.abs(b.paths) - 1e-15)
+    assert np.all(np.diff(running, axis=-1) >= 0.0)
+    assert np.all(running >= np.abs(paths) - 1e-15)
 
 
 def test_hitting_index_edges():
@@ -100,21 +106,6 @@ def test_hitting_index_edges():
     assert idx == 6 and hit
     with pytest.raises(ValueError):
         P.hitting_index(values, 0.5, mode="sideways")
-
-
-def test_stop_indices_deterministic_and_exit():
-    grid = P.PathGrid(1.0, 16)
-    b = P.simulate_bundle(3, 1, grid)
-    det = P.StoppingTimeSpec("deterministic", {"T": 0.5})
-    assert P.stop_indices(det, grid, b.paths) == 8
-    exit_spec = P.StoppingTimeSpec("first_exit_abs", {"level": 0.05, "coord": 0})
-    idx = P.stop_indices(exit_spec, grid, b.paths)
-    k = int(idx)
-    assert np.all(np.abs(b.paths[0, :k]) < 0.05)
-    if k < grid.steps:
-        assert abs(b.paths[0, k]) >= 0.05
-    with pytest.raises(ValueError):
-        P.StoppingTimeSpec("third_kind", {})
 
 
 def test_refinement_never_delays_hitting():
@@ -144,23 +135,8 @@ def test_batch_matches_single_bundle_and_coarsens():
     assert batch.increments.shape == (8, 2, 64)
     assert batch.paths.shape == (8, 2, 65)
     assert np.all(batch.paths[:, :, 0] == 0.0)
-    single = P.simulate_bundle(55, coords=2, grid=grid, stream=("batch",))
-    assert np.array_equal(batch.increments[0], single.increments)
+    single, _ = one_path(55, 2, grid, stream=("batch",))
+    assert np.array_equal(batch.increments[0], single)
     coarse = batch.coarsened(4)
     assert coarse.grid.steps == 16
     assert np.array_equal(coarse.paths[:, :, 1], batch.paths[:, :, 4])
-
-
-def test_batch_csv_dump(tmp_path):
-    grid = P.PathGrid(1.0, 4)
-    batch = P.simulate_batch(3, ("csv",), 2, grid, 3)
-    path = tmp_path / "bundle.csv"
-    P.batch_to_csv(path, batch)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "replicate,coordinate,k,value"
-    assert len(lines) == 1 + 3 * 2 * 5
-    rep, coord, k, value = lines[1].split(",")
-    assert (rep, coord, k) == ("0", "0", "0") and float(value) == 0.0
-    last = lines[-1].split(",")
-    assert last[:3] == ["2", "1", "4"]
-    assert float(last[3]) == batch.paths[2, 1, 4]

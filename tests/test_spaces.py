@@ -169,14 +169,3 @@ def test_space_config_roundtrip(space4):
     assert np.array_equal(rebuilt.weights, space4.weights)
     with pytest.raises(ValueError, match="weights"):
         S.DiscreteMeasureSpace.from_config({})
-
-
-def test_vector_csv_roundtrip(tmp_path, space4):
-    rng = substream(21, "vector-csv")
-    f = S.OrliczVector(space4, rng.normal(size=(space4.n_atoms, 3)))
-    path = tmp_path / "vec.csv"
-    S.vector_to_csv(path, f)
-    header = path.read_text().splitlines()[0]
-    assert header == "atom_id,coord_index,value"
-    g = S.vector_from_csv(path, space4)
-    assert np.array_equal(g.values, f.values)  # repr round-trip is exact
