@@ -47,6 +47,8 @@ __all__ = [
 
 # Interior kink of the lambda_alpha family: the log factor saturates here.
 _KINK = math.exp(-1.0)
+# Relative bracket width at which GrowthFunction.inverse stops bisecting.
+_INVERSE_REL_TOL = 1e-12
 
 
 class GaugeError(ValueError):
@@ -80,12 +82,20 @@ def _power_log_eval(p: float) -> Callable:
 
 
 def _lambda_alpha_eval(alpha: float) -> Callable:
+    # t^alpha everywhere, times the log factor only below the kink (the
+    # factor is 1 above it); 0 wherever t > 0 fails, NaN included
     def ev(t):
         t = np.asarray(t, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            factor = np.where(t < _KINK, -1.0 / np.log(np.maximum(t, 1e-300)), 1.0)
-            out = np.power(t, alpha) * factor
-        return np.where(t > 0.0, out, 0.0)
+        out = np.empty(t.shape)
+        with np.errstate(invalid="ignore"):
+            np.power(t, alpha, out=out)
+        low = t < _KINK
+        factor = np.maximum(t[low], 1e-300)
+        np.log(factor, out=factor)
+        np.divide(-1.0, factor, out=factor)
+        out[low] *= factor
+        np.copyto(out, 0.0, where=~(t > 0.0))
+        return out
 
     return ev
 
@@ -162,7 +172,7 @@ class GrowthFunction:
         h = 1e-7 * np.maximum(t, 1e-3)
         return (self._eval(t + h) - self._eval(t)) / h
 
-    def inverse(self, y: float, rel_tol: float = 1e-12) -> float:
+    def inverse(self, y: float) -> float:
         """Smallest t with L(t) >= y, by bisection on the monotone gauge."""
         if y <= 0.0:
             return 0.0
@@ -173,7 +183,7 @@ class GrowthFunction:
             lo, hi = hi, hi * 2.0
         else:
             raise BracketError("gauge inverse: no upper bracket")
-        while hi - lo > rel_tol * hi:
+        while hi - lo > _INVERSE_REL_TOL * hi:
             mid = 0.5 * (lo + hi)
             if float(self._eval(np.float64(mid))) >= y:
                 hi = mid

@@ -12,8 +12,15 @@ processes are blockwise constant with grid-aligned breakpoints; their
 block values are produced from the truncated driver history only, so
 adaptedness holds by construction.
 
-All kernels are batch-first: driver paths (reps, coords, n+1), realized
-process values (reps, n+1, atoms, coords).
+Every integrand is factored: its value on atom a along driver coordinate j
+is ``coef[a, j] * g[r, k, j]``, an adapted factor g per coordinate times a
+fixed per-atom coefficient, so no (reps, n+1, atoms, d) tensor is built.
+The integral and the energy take one prefix sum per distinct ``coef`` row,
+shared by the atoms that carry it.
+
+All kernels are batch-first: driver paths (reps, coords, n+1), factors
+(reps, n+1, coords), coefficients (atoms, coords), integral and energy
+paths (reps, n+1, atoms).
 """
 
 from __future__ import annotations
@@ -50,35 +57,76 @@ class ProcessError(ValueError):
 # core kernels
 
 
-def ito_integral(values: np.ndarray, increments: np.ndarray) -> np.ndarray:
+def _prefix_sums(term, coef: np.ndarray, reps: int, n: int, scale: float = 1.0):
+    """Paths ``scale * sum_{k<t} sum_j term(j, coef[a, j])[:, k]`` on the atoms,
+    C-contiguous (reps, n+1, atoms).
+
+    ``term(j, c)`` is the fresh (reps, n) per-step term of coordinate j under
+    coefficient c.  Per distinct ``coef`` row, the terms of its nonzero
+    coefficients are added in coordinate order, from +0.0 as a dense einsum
+    adds them, and the atoms sharing the row share its prefix sum.
+    """
+    rows: dict[tuple, list[int]] = {}
+    for a, row in enumerate(coef):
+        rows.setdefault(tuple(row), []).append(a)
+    out = np.empty((reps, n + 1, coef.shape[0]))
+    for row, (a, *others) in rows.items():
+        live = [(j, c) for j, c in enumerate(row) if c != 0.0]
+        total = term(*live[0]) if live else np.zeros((reps, n))
+        total += 0.0  # the einsum accumulates from +0.0: a -0.0 term reads +0.0
+        for j, c in live[1:]:
+            total += term(j, c)
+        path = out[:, :, a]
+        path[:, 0] = 0.0
+        np.cumsum(total, axis=1, out=path[:, 1:])
+        if others:
+            out[:, :, others] = path[:, :, None]
+    if scale != 1.0:
+        out *= scale
+    return out
+
+
+def _left_factor(values: np.ndarray, j: int, c: float) -> np.ndarray:
+    """``c * values[:, k, j]`` at the left points k < n; c = 1 is exact, so
+    that product is skipped."""
+    x = values[:, :-1, j]
+    return x if c == 1.0 else x * c
+
+
+def ito_integral(values: np.ndarray, coef: np.ndarray, increments: np.ndarray) -> np.ndarray:
     """Left-point integral paths, shape (reps, n+1, atoms).
 
-    ``values`` holds the integrand on the full grid (reps, n+1, atoms, d);
-    only the left points k < n enter the sum.  ``increments`` is the driver
-    (reps, d, n).
+    The integrand is ``coef[a, j] * values[r, k, j]``: the factor ``values``
+    on the full grid (reps, n+1, d), of which only the left points k < n
+    enter the sum, and ``coef`` (atoms, d).  ``increments`` is the driver
+    (reps, d, n).  Each step's term ``sum_j (values_j * coef_j) * dB_j`` is
+    added in coordinate order, skipping zero coefficients.
     """
     values = np.asarray(values, dtype=float)
+    coef = np.asarray(coef, dtype=float)
     increments = np.asarray(increments, dtype=float)
-    if values.shape[-1] != increments.shape[1]:
+    if not values.shape[-1] == coef.shape[-1] == increments.shape[1]:
         raise ProcessError(
-            f"coordinate mismatch: process has {values.shape[-1]}, driver {increments.shape[1]}"
+            f"coordinate mismatch: process has {values.shape[-1]} factors and"
+            f" {coef.shape[-1]} coefficients, driver {increments.shape[1]}"
         )
     if values.shape[1] != increments.shape[-1] + 1:
         raise ProcessError("process values must cover the full grid (n+1 samples)")
-    terms = np.einsum("rkad,rdk->rka", values[:, :-1], increments)
-    out = np.zeros((terms.shape[0], terms.shape[1] + 1, terms.shape[2]))
-    np.cumsum(terms, axis=1, out=out[:, 1:])
-    return out
+    reps, _, n = increments.shape
+    term = lambda j, c: _left_factor(values, j, c) * increments[:, j]
+    return _prefix_sums(term, coef, reps, n)
 
 
-def eta_paths(values: np.ndarray, dt: float) -> np.ndarray:
+def eta_paths(values: np.ndarray, coef: np.ndarray, dt: float) -> np.ndarray:
     """Running energy paths sum_{k<t} |X(t_k)|^2 dt, shape (reps, n+1, atoms)."""
     values = np.asarray(values, dtype=float)
-    sq = np.einsum("rkad,rkad->rka", values[:, :-1], values[:, :-1])
-    out = np.zeros((sq.shape[0], sq.shape[1] + 1, sq.shape[2]))
-    np.cumsum(sq, axis=1, out=out[:, 1:])
-    out *= dt
-    return out
+    coef = np.asarray(coef, dtype=float)
+
+    def term(j, c):
+        x = _left_factor(values, j, c)
+        return x * x
+
+    return _prefix_sums(term, coef, values.shape[0], values.shape[1] - 1, dt)
 
 
 def triple_norm_path(
@@ -119,57 +167,65 @@ def coarsen_samples(values: np.ndarray, grid: PathGrid, m: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RealizedProcess:
-    """A process realized on a driver batch: dense adapted values."""
+    """A process realized on a driver batch, in factored form.
+
+    The value on atom ``a`` along coordinate ``j`` is
+    ``coef[a, j] * values[r, k, j]``: one adapted factor per driver
+    coordinate, scaled per atom by a fixed coefficient.
+    """
 
     grid: PathGrid
     space: DiscreteMeasureSpace
-    values: np.ndarray  # (reps, n+1, atoms, d)
+    values: np.ndarray  # (reps, n+1, d)
+    coef: np.ndarray  # (atoms, d)
     label: str
 
     def integral(self, increments: np.ndarray) -> np.ndarray:
-        return ito_integral(self.values, increments)
+        return ito_integral(self.values, self.coef, increments)
 
     def eta(self) -> np.ndarray:
-        return eta_paths(self.values, self.grid.dt)
+        return eta_paths(self.values, self.coef, self.grid.dt)
 
 
 @dataclass(frozen=True)
 class ElementaryProcess:
-    """Blockwise-constant process: grid-aligned breakpoints plus block values."""
+    """Blockwise-constant process: grid-aligned breakpoints plus block values
+    per driver coordinate, scaled per atom by ``coef``."""
 
     grid: PathGrid
     space: DiscreteMeasureSpace
     break_indices: np.ndarray  # (blocks + 1,), ascending, within [0, n]
-    block_values: np.ndarray  # (reps, blocks, atoms, d)
+    block_values: np.ndarray  # (reps, blocks, d)
+    coef: np.ndarray  # (atoms, d)
     label: str = "elementary"
 
     def realize(self) -> RealizedProcess:
-        reps, blocks, atoms, d = self.block_values.shape
+        reps, blocks, d = self.block_values.shape
         n = self.grid.steps
-        out = np.zeros((reps, n + 1, atoms, d))
+        out = np.zeros((reps, n + 1, d))
         for i in range(blocks):
             lo, hi = self.break_indices[i], self.break_indices[i + 1]
             out[:, lo:hi] = self.block_values[:, i, None]
         # carry the final block value onto the closing grid point; the
-        # integral never reads it, dense realizations stay block-shaped
+        # integral never reads it, realizations stay block-shaped
         out[:, self.break_indices[-1] :] = self.block_values[:, -1, None]
-        return RealizedProcess(self.grid, self.space, out, self.label)
+        return RealizedProcess(self.grid, self.space, out, self.coef, self.label)
 
     def integral_double_sum(self, paths: np.ndarray) -> np.ndarray:
         """Direct two-index sum over blocks and coordinates (reps, n+1, atoms).
 
-        Evaluates sum_i sum_j xi_i^(j) (B^j_{t ∧ s_{i+1}} - B^j_{t ∧ s_i});
+        Evaluates sum_i sum_j coef_j xi_i^(j) (B^j_{t ∧ s_{i+1}} - B^j_{t ∧ s_i});
         equal to the left-point grid sum up to float reassociation.
         """
-        reps, blocks, atoms, d = self.block_values.shape
+        reps, blocks, d = self.block_values.shape
         n = self.grid.steps
         k = np.arange(n + 1)
-        out = np.zeros((reps, n + 1, atoms))
+        out = np.zeros((reps, n + 1, self.coef.shape[0]))
         for i in range(blocks):
             lo = np.minimum(k, self.break_indices[i])
             hi = np.minimum(k, self.break_indices[i + 1])
             span = paths[:, :, hi] - paths[:, :, lo]  # (reps, d, n+1)
-            out += np.einsum("rad,rdk->rka", self.block_values[:, i], span)
+            out += np.einsum("aj,rj,rjk->rka", self.coef, self.block_values[:, i], span)
         return out
 
 
@@ -179,32 +235,36 @@ def make_elementary(
     break_indices: np.ndarray,
     value_fn: Callable[[int, np.ndarray], np.ndarray],
     paths: np.ndarray,
+    coef: np.ndarray,
     label: str = "elementary",
 ) -> ElementaryProcess:
     """Build an elementary process from per-block value functions.
 
     ``value_fn(i, history)`` receives the driver truncated at the block's
-    start, shape (reps, coords, s_i + 1), and must return (reps, atoms, d)
-    values; it cannot read past the breakpoint, so the result is adapted by
-    construction.
+    start, shape (reps, coords, s_i + 1), and must return (reps, d) values,
+    one per driver coordinate; it cannot read past the breakpoint, so the
+    result is adapted by construction.  ``coef`` (atoms, d) scales the
+    values per atom.
     """
     idx = np.asarray(break_indices, dtype=np.int64)
     if idx.ndim != 1 or idx.size < 2:
         raise ProcessError("need at least one block (two breakpoints)")
     if np.any(np.diff(idx) <= 0) or idx[0] < 0 or idx[-1] > grid.steps:
         raise ProcessError("breakpoints must ascend within the grid")
-    reps, coords = paths.shape[0], paths.shape[1]
+    reps = paths.shape[0]
     blocks = idx.size - 1
     first = np.asarray(value_fn(0, paths[:, :, : idx[0] + 1]), dtype=float)
-    if first.shape[0] != reps or first.shape[1] != space.n_atoms:
-        raise ProcessError(
-            f"value function must return (reps, atoms, d); got {first.shape}"
-        )
-    vals = np.empty((reps, blocks) + first.shape[1:])
+    if first.ndim != 2 or first.shape[0] != reps:
+        raise ProcessError(f"value function must return (reps, d); got {first.shape}")
+    d = first.shape[1]
+    coef = np.asarray(coef, dtype=float)
+    if coef.shape != (space.n_atoms, d):
+        raise ProcessError(f"coef must have shape {(space.n_atoms, d)}; got {coef.shape}")
+    vals = np.empty((reps, blocks, d))
     vals[:, 0] = first
     for i in range(1, blocks):
         vals[:, i] = value_fn(i, paths[:, :, : idx[i] + 1])
-    return ElementaryProcess(grid, space, idx, vals, label=label)
+    return ElementaryProcess(grid, space, idx, vals, coef, label=label)
 
 
 # ---------------------------------------------------------------------------
@@ -272,14 +332,14 @@ def _realize_rule(spec: ProcessSpec, paths, grid: PathGrid, space: DiscreteMeasu
         raise ProcessError(f"rule {spec.rule!r} needs {spec.min_coords} driver coordinates")
     n = grid.steps
     atoms = space.n_atoms
+    e1 = np.zeros((atoms, coords))
+    e1[:, 0] = 1.0
     if spec.rule == "constant_e1":
-        vals = np.zeros((reps, n + 1, atoms, coords))
-        vals[..., 0] = 1.0
-        return RealizedProcess(grid, space, vals, spec.label)
+        return RealizedProcess(grid, space, np.ones((reps, n + 1, coords)), e1, spec.label)
     if spec.rule == "B1_times_e1":
-        vals = np.zeros((reps, n + 1, atoms, coords))
-        vals[..., 0] = paths[:, 0, :, None]
-        return RealizedProcess(grid, space, vals, spec.label)
+        vals = np.zeros((reps, n + 1, coords))
+        vals[..., 0] = paths[:, 0]
+        return RealizedProcess(grid, space, vals, e1, spec.label)
     if spec.rule == "sign_of_B1":
         blocks = int(spec.params.get("blocks", 16))
         if not 1 <= blocks <= n:
@@ -287,23 +347,24 @@ def _realize_rule(spec: ProcessSpec, paths, grid: PathGrid, space: DiscreteMeasu
         idx = np.unique(np.linspace(0, n, blocks + 1).astype(np.int64))
 
         def value_fn(i, history):
-            sgn = np.sign(history[:, 0, -1])
-            out = np.zeros((history.shape[0], atoms, coords))
-            out[..., 0] = sgn[:, None]
+            out = np.zeros((history.shape[0], coords))
+            out[:, 0] = np.sign(history[:, 0, -1])
             return out
 
-        return make_elementary(grid, space, idx, value_fn, paths, label=spec.label).realize()
+        return make_elementary(grid, space, idx, value_fn, paths, e1, spec.label).realize()
     if spec.rule == "two_coord_mix":
         c = _atom_weights_pattern(atoms)
-        vals = np.zeros((reps, n + 1, atoms, coords))
-        vals[..., 0] = c[None, None, :]
-        vals[..., 1] = c[None, None, :] * np.tanh(paths[:, 1, :, None])
-        return RealizedProcess(grid, space, vals, spec.label)
+        vals = np.zeros((reps, n + 1, coords))
+        vals[..., 0] = 1.0
+        vals[..., 1] = np.tanh(paths[:, 1])
+        coef = np.zeros((atoms, coords))
+        coef[:, :2] = c[:, None]
+        return RealizedProcess(grid, space, vals, coef, spec.label)
     if spec.rule == "coarsen_m":
         m = int(spec.params.get("m", 8))
         inner = _inner_spec(spec).realize(paths, grid, space)
         coarse = coarsen_samples(np.moveaxis(inner.values, 1, -1), grid, m)
-        return RealizedProcess(grid, space, np.moveaxis(coarse, -1, 1), spec.label)
+        return RealizedProcess(grid, space, np.moveaxis(coarse, -1, 1), inner.coef, spec.label)
     raise ProcessError(f"unknown integrand rule {spec.rule!r}")
 
 

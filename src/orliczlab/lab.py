@@ -29,13 +29,14 @@ Writing a Monte Carlo experiment
 --------------------------------
 Resolve sizes and params with ``_resolve``: every param key it reads has a
 default in ``experiment_defaults``.  ``run_experiment`` rejects any other
-key, and a value that is not a number (or a list of numbers) where the
-default is one.  Loop once over ``_views(seed, name, coords, grid,
-replicates, batch, factor)``, which yields ``(tag, batch)`` per driver
-batch; with ``factor=4`` each batch comes as ``"4n"`` on the fine grid,
-then as ``"n"`` coarsened.  In the loop, feed both sides of each
-inequality to one ``_Tally`` with ``add(key, lhs, rhs, *bounds)``, listing
-the bounds whose rows should carry the paired slack.  After the loop,
+key, a value that is not a number (or a list of numbers) where the
+default is one, and a ``replicates`` or ``grid_n`` whose default is 0.
+Loop once over ``_views(seed, name, coords, grid, replicates, batch,
+factor)``, which yields ``(tag, batch)`` per driver batch; with
+``factor=4`` each batch comes as ``"4n"`` on the fine grid, then as ``"n"``
+coarsened.  In the loop, feed both sides of each inequality to one
+``_Tally`` with ``add(key, lhs, rhs, *bounds)``, listing the bounds whose
+rows should carry the paired slack.  After the loop,
 build the rows with ``_Tally.row`` (``reverse=True`` checks rhs against
 lhs) and take grid steps from the views.
 """
@@ -713,20 +714,23 @@ def _lenglart_orlicz(seed, replicates, params):
 # two-sided Orlicz comparison for vector integrals
 
 
-def _modular_paths(gauge: GrowthFunction, integral, eta, weights, c: float):
-    """Supremum-side and clock-side modular paths for scaled integrands c X.
+def _modular_paths(gauge: GrowthFunction, integral, eta, weights, c: float, read):
+    """Running supremum-side modular path, and the clock-side modular at the
+    grid indices ``read``, for scaled integrands c X.
 
     For power gauges the scaling is analytic: modular(c f) = c^p modular(f),
     exact in floats for binary c, which realizes the homogeneity-invariance
-    contract.  Other gauges are re-evaluated at the scaled arguments.
+    contract.  Other gauges are re-evaluated at the scaled arguments.  The
+    clock is evaluated at the read indices only, one (reps, atoms) slice
+    each; the supremum needs the whole path.
     """
     if gauge.family == "power" and float(gauge.params.get("coeff", 1.0)) == 1.0:
         scale = float(c) ** float(gauge.params["p"])
         mod = scale * modular_of_norms(np.abs(integral), weights, gauge)
-        clock = scale * modular_of_norms(np.sqrt(eta), weights, gauge)
+        clock = {i: scale * modular_of_norms(np.sqrt(eta[:, i]), weights, gauge) for i in read}
     else:
         mod = modular_of_norms(c * np.abs(integral), weights, gauge)
-        clock = modular_of_norms(c * np.sqrt(eta), weights, gauge)
+        clock = {i: modular_of_norms(c * np.sqrt(eta[:, i]), weights, gauge) for i in read}
     return np.maximum.accumulate(mod, axis=1), clock
 
 
@@ -761,6 +765,7 @@ def run_orlicz_bdg(cfg) -> ExperimentResult:
         steps[tag] = b.grid.steps
         grid_points = {t: b.grid.index_of(t) for t in sweep_times}
         combos = [(t, c) for t in sweep_times for c in scales] if tag == "4n" else [(horizon, 1.0)]
+        read = sorted({grid_points[t] for t, _ in combos})
         for spec in specs:
             realized = spec.realize(b.paths, b.grid, space)
             integral = realized.integral(b.increments)
@@ -769,11 +774,10 @@ def run_orlicz_bdg(cfg) -> ExperimentResult:
                 done = {}
                 for t_stop, c in combos:
                     if c not in done:
-                        done[c] = _modular_paths(gauge, integral, eta, space.weights, c)
+                        done[c] = _modular_paths(gauge, integral, eta, space.weights, c, read)
                     run_mod, clock = done[c]
                     idx = grid_points[t_stop]
-                    tally.add((spec.rule, gname, tag, t_stop, c), run_mod[:, idx], clock[:, idx],
-                              1.0)
+                    tally.add((spec.rule, gname, tag, t_stop, c), run_mod[:, idx], clock[idx], 1.0)
             if tag == "4n" and spec.rule == "two_coord_mix" and not norm_checks:
                 # power-gauge norm path agrees with modular^(1/p), first batch only
                 sample = np.sqrt(eta[: min(32, b.replicates), -1, :])
@@ -923,7 +927,12 @@ def run_experiment(cfg) -> ExperimentResult:
         raise LabError(
             f"unknown experiment {cfg.experiment!r}; known: {', '.join(sorted(EXPERIMENTS))}"
         )
-    known = experiment_defaults(cfg.experiment)["params"]
+    defaults = experiment_defaults(cfg.experiment)
+    for size in ("replicates", "grid_n"):
+        # a size whose default is 0 is one the experiment never reads
+        if getattr(cfg, size) is not None and not defaults[size]:
+            raise LabError(f"{cfg.experiment}: {size} is not used; leave it unset")
+    known = defaults["params"]
     unknown = sorted(repr(key) for key in cfg.params if key not in known)
     if unknown:
         raise LabError(

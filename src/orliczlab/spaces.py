@@ -58,10 +58,6 @@ class DiscreteMeasureSpace:
     def n_atoms(self) -> int:
         return self.weights.size
 
-    @property
-    def total_mass(self) -> float:
-        return float(self.weights.sum())
-
     def to_config(self) -> dict:
         return {"weights": [float(w) for w in self.weights]}
 
@@ -114,59 +110,70 @@ def modular_of_norms(norms: np.ndarray, weights: np.ndarray, gauge: GrowthFuncti
     return gauge(norms) @ np.asarray(weights, dtype=float)
 
 
-def _luxemburg_scalar(norms, weights, gauge, tol) -> float:
+# Bisection stops once the modular at the feasible end is within this of 1.
+_LUXEMBURG_TOL = 1e-9
+
+
+def _luxemburg_scalar(norms, weights, gauge) -> float:
     top = float(norms.max(initial=0.0))
     if top == 0.0:
         return 0.0
     mod = lambda lam: float(np.dot(weights, gauge(norms / lam)))
-    hi = top
+    # bracket by doubling up from the largest value, or halving down from it
+    # when it is already feasible; no scale is evaluated twice
+    lo, hi = None, top
     for _ in range(200):
-        if mod(hi) <= 1.0:
+        mod_hi = mod(hi)
+        if mod_hi <= 1.0:
             break
-        hi *= 2.0
+        lo, hi = hi, hi * 2.0
     else:
         raise BracketError("luxemburg norm: no upper bracket")
-    lo = hi
-    for _ in range(200):
-        nxt = lo * 0.5
-        if mod(nxt) > 1.0:
-            lo = nxt
-            break
-        lo = hi = nxt
-    else:
-        # modular stays <= 1 at every probed scale; the infimum is 0
-        return 0.0
-    # invariant: mod(lo) > 1 >= mod(hi); keep the feasible upper end
+    if lo is None:
+        lo = hi
+        for _ in range(200):
+            nxt = lo * 0.5
+            mod_nxt = mod(nxt)
+            if mod_nxt > 1.0:
+                lo = nxt
+                break
+            lo = hi = nxt
+            mod_hi = mod_nxt
+        else:
+            # modular stays <= 1 at every probed scale; the infimum is 0
+            return 0.0
+    # invariant: mod(lo) > 1 >= mod(hi) = mod_hi; keep the feasible upper end
     while hi - lo > 1e-13 * hi:
         mid = 0.5 * (lo + hi)
-        if mod(mid) <= 1.0:
-            hi = mid
+        mod_mid = mod(mid)
+        if mod_mid <= 1.0:
+            hi, mod_hi = mid, mod_mid
         else:
             lo = mid
-        if abs(mod(hi) - 1.0) <= tol:
+        if abs(mod_hi - 1.0) <= _LUXEMBURG_TOL:
             break
     return hi
 
 
-def luxemburg_norm(f: OrliczVector, gauge: GrowthFunction, tol: float = 1e-9) -> float:
+def luxemburg_norm(f: OrliczVector, gauge: GrowthFunction) -> float:
     """Smallest lambda with [f/lambda]_L <= 1, by bisection.
 
     Returns 0.0 for the zero vector.  The returned value is the feasible
     bisection end, so the unit-ball law [f/norm]_L <= 1 holds exactly for
     the approximant; for continuous strictly scaling gauges the modular at
-    the result is 1 within ``tol``.
+    the result is 1 within 1e-9.  Each scale is evaluated once.
     """
-    return _luxemburg_scalar(f.norms(), f.space.weights, gauge, tol)
+    return _luxemburg_scalar(f.norms(), f.space.weights, gauge)
 
 
 def luxemburg_of_norms(
-    norms: np.ndarray, weights: np.ndarray, gauge: GrowthFunction, tol: float = 1e-9
+    norms: np.ndarray, weights: np.ndarray, gauge: GrowthFunction
 ) -> np.ndarray:
     """Luxemburg norm over a batch: ``norms`` has shape (..., n_atoms)."""
     norms = np.asarray(norms, dtype=float)
     weights = np.asarray(weights, dtype=float)
     flat = norms.reshape(-1, norms.shape[-1])
-    out = np.array([_luxemburg_scalar(row, weights, gauge, tol) for row in flat])
+    out = np.array([_luxemburg_scalar(row, weights, gauge) for row in flat])
     return out.reshape(norms.shape[:-1])
 
 

@@ -25,6 +25,7 @@ from orliczlab.lab import run_experiment
 from orliczlab.paths import PathGrid, simulate_batch
 from orliczlab.spaces import DiscreteMeasureSpace, OrliczVector, luxemburg_norm
 
+pytestmark = pytest.mark.slow
 
 _CAPTURE = None
 

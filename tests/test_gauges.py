@@ -54,6 +54,25 @@ def test_lambda_alpha_conventions():
     assert float(g1(np.float64(t))) == pytest.approx(t / 2.0, rel=1e-12)
 
 
+def test_lambda_alpha_equals_two_branch_formula():
+    # the log factor is evaluated only below the kink; the values equal the
+    # two-branch formula bit for bit, edge points and 0-d inputs included
+    edge = np.array([0.0, 5e-324, 1e-310, np.nextafter(KINK, 0.0), KINK,
+                     np.nextafter(KINK, 1.0), 1.0, np.inf, np.nan, -1.0])
+    rng = np.random.default_rng(11)
+    t = np.concatenate([edge, rng.uniform(0.0, 2.0, 100_000),
+                        np.exp(rng.uniform(-745.0, 5.0, 1000))])
+    for alpha in (0.0, 1.0, 2.0):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            factor = np.where(t < KINK, -1.0 / np.log(np.maximum(t, 1e-300)), 1.0)
+            formula = np.where(t > 0.0, np.power(t, alpha) * factor, 0.0)
+        g = G.make_gauge("lambda_alpha", alpha=alpha)
+        assert np.array_equal(g(t), formula)
+        for i, point in enumerate(edge):
+            got = g(np.float64(point))
+            assert got.shape == () and got.tobytes() == formula[i].tobytes()
+
+
 def test_lambda_zero_is_bounded():
     g = G.make_gauge("lambda_alpha", alpha=0.0)
     t = np.geomspace(1e-10, 1e10, 101)

@@ -45,12 +45,15 @@ class TestExactIdentities:
         assert_allclose(eta, expected, rtol=1e-12, atol=0.0)
 
     def test_linearity(self):
+        # factors that share coef combine linearly: the driver itself, B^j on
+        # coordinate j, and the two_coord_mix factor (1, tanh B2)
         bundle = small_bundle(coords=2)
-        x = build_process({"rule": "B1_times_e1"}).realize(bundle.paths, bundle.grid, SPACE2)
         y = build_process({"rule": "two_coord_mix"}).realize(bundle.paths, bundle.grid, SPACE2)
-        combo = 2.0 * x.values - 0.5 * y.values
-        lhs = ito_integral(combo, bundle.increments)
-        rhs = 2.0 * x.integral(bundle.increments) - 0.5 * y.integral(bundle.increments)
+        x = np.moveaxis(bundle.paths, 1, -1)
+        combo = 2.0 * x - 0.5 * y.values
+        lhs = ito_integral(combo, y.coef, bundle.increments)
+        rhs = (2.0 * ito_integral(x, y.coef, bundle.increments)
+               - 0.5 * y.integral(bundle.increments))
         assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-14)
 
     def test_integral_of_driver_matches_qv_identity(self):
@@ -69,11 +72,10 @@ class TestExactIdentities:
         idx = np.array([0, 16, 32, 48, 64])
 
         def value_fn(i, history):
-            out = np.zeros((history.shape[0], space.n_atoms, 1))
-            out[..., 0] = np.sign(history[:, 0, -1])[:, None] * (i + 1)
-            return out
+            return np.sign(history[:, :1, -1]) * (i + 1)
 
-        elem = make_elementary(bundle.grid, space, idx, value_fn, bundle.paths)
+        coef = np.array([[1.0], [0.5]])
+        elem = make_elementary(bundle.grid, space, idx, value_fn, bundle.paths, coef)
         left = elem.realize().integral(bundle.increments)
         double = elem.integral_double_sum(bundle.paths)
         assert_allclose(double, left, rtol=1e-12, atol=1e-13)
@@ -84,11 +86,39 @@ class TestExactIdentities:
         x = build_process({"rule": "two_coord_mix"}).realize(bundle.paths, bundle.grid, SPACE2)
         sigma, _ = hitting_index(np.abs(bundle.paths[:, 0, :]), 0.5)
         past_sigma = np.arange(x.values.shape[1])[None, :, None] >= sigma[:, None, None]
-        tail = ito_integral(x.values * past_sigma[..., None], bundle.increments)
+        tail = ito_integral(x.values * past_sigma, x.coef, bundle.increments)
         full = x.integral(bundle.increments)
         frozen = full[np.arange(full.shape[0]), sigma, :]
         stopped = np.where(past_sigma, frozen[:, None, :], full)  # I_{t ∧ sigma}
         assert_allclose(tail, full - stopped, rtol=1e-12, atol=1e-13)
+
+
+def dense_reference(x, increments):
+    """Integral and energy from the dense (reps, n+1, atoms, d) integrand."""
+    dense = x.coef[None, None] * x.values[:, :, None, :]
+    integral = np.zeros(dense.shape[:3])
+    np.cumsum(np.einsum("rkad,rdk->rka", dense[:, :-1], increments), axis=1,
+              out=integral[:, 1:])
+    eta = np.zeros(dense.shape[:3])
+    np.cumsum(np.einsum("rkad,rkad->rka", dense[:, :-1], dense[:, :-1]), axis=1,
+              out=eta[:, 1:])
+    eta *= x.grid.dt
+    return integral, eta
+
+
+@pytest.mark.parametrize("atoms", [1, 2, 4])
+@pytest.mark.parametrize("rule", ["constant_e1", "sign_of_B1", "B1_times_e1", "two_coord_mix"])
+def test_factored_kernels_equal_dense_einsum(rule, atoms):
+    # same products, summed in the same coordinate order: equal bit for bit
+    bundle = small_bundle(coords=2, n=64, reps=40, stream=("itest", "dense", rule))
+    space = DiscreteMeasureSpace(np.linspace(1.0, 2.0, atoms))
+    x = build_process({"rule": rule}).realize(bundle.paths, bundle.grid, space)
+    integral, eta = x.integral(bundle.increments), x.eta()
+    ref_integral, ref_eta = dense_reference(x, bundle.increments)
+    assert np.array_equal(integral, ref_integral)
+    assert np.array_equal(eta, ref_eta)
+    for out in (integral, eta):
+        assert out.shape == (40, 65, atoms) and out.flags.c_contiguous
 
 
 class TestIsometry:
@@ -205,9 +235,9 @@ class TestSpecsAndValidation:
         c = np.geomspace(1.0, 0.25, 2)
         k = 17
         for a in range(2):
-            assert_allclose(x.values[:, k, a, 0], np.full(5, c[a]), rtol=0, atol=0)
-            assert_allclose(x.values[:, k, a, 1], c[a] * np.tanh(bundle.paths[:, 1, k]),
-                            rtol=1e-15, atol=0)
+            assert_allclose(x.coef[a, 0] * x.values[:, k, 0], np.full(5, c[a]), rtol=0, atol=0)
+            assert_allclose(x.coef[a, 1] * x.values[:, k, 1],
+                            c[a] * np.tanh(bundle.paths[:, 1, k]), rtol=1e-15, atol=0)
 
     def test_elementary_zero_before_first_breakpoint(self):
         bundle = small_bundle(n=64, reps=4)
@@ -215,25 +245,28 @@ class TestSpecsAndValidation:
 
         def value_fn(i, history):
             assert history.shape[-1] == idx[i] + 1  # truncated view only
-            return np.ones((history.shape[0], 1, 1))
+            return np.ones((history.shape[0], 1))
 
-        elem = make_elementary(bundle.grid, SPACE1, idx, value_fn, bundle.paths)
+        elem = make_elementary(bundle.grid, SPACE1, idx, value_fn, bundle.paths, np.ones((1, 1)))
         dense = elem.realize().values
         assert np.all(dense[:, :16] == 0.0) and np.all(dense[:, 16:] == 1.0)
 
     def test_elementary_breakpoint_validation(self):
         bundle = small_bundle(n=32, reps=2)
-        fn = lambda i, h: np.ones((h.shape[0], 1, 1))
+        fn = lambda i, h: np.ones((h.shape[0], 1))
+        coef = np.ones((1, 1))
         with pytest.raises(ProcessError, match="ascend"):
-            make_elementary(bundle.grid, SPACE1, np.array([0, 0, 8]), fn, bundle.paths)
+            make_elementary(bundle.grid, SPACE1, np.array([0, 0, 8]), fn, bundle.paths, coef)
         with pytest.raises(ProcessError, match="ascend"):
-            make_elementary(bundle.grid, SPACE1, np.array([0, 40]), fn, bundle.paths)
+            make_elementary(bundle.grid, SPACE1, np.array([0, 40]), fn, bundle.paths, coef)
+        with pytest.raises(ProcessError, match="coef must have shape"):
+            make_elementary(bundle.grid, SPACE1, np.array([0, 8]), fn, bundle.paths, np.ones((2, 1)))
 
     def test_sign_rule_block_structure(self):
         bundle = small_bundle(n=64, reps=50, stream=("itest", "signs"))
         x = build_process({"rule": "sign_of_B1", "blocks": 8}).realize(
             bundle.paths, bundle.grid, SPACE1)
-        vals = x.values[:, :, 0, 0]
+        vals = x.coef[0, 0] * x.values[:, :, 0]
         assert set(np.unique(vals)).issubset({-1.0, 0.0, 1.0})
         # value on each block equals the sign of the driver at the block start
         for lo in range(0, 64, 8):

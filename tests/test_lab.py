@@ -167,7 +167,7 @@ def test_registry_and_defaults_cover_each_other():
 
 
 def test_young_experiment_rows():
-    res = small("young")
+    res = small("young", replicates=None)
     assert res.passed
     labels = {r.label for r in res.reports}
     assert "young-gap:power_2" in labels
@@ -180,19 +180,29 @@ def test_young_experiment_rows():
 
 
 def test_young_accepts_extra_gauge_config():
-    res = small("young", extra_gauges=[{"family": "power", "p": 2.5}])
+    res = small("young", replicates=None, extra_gauges=[{"family": "power", "p": 2.5}])
     assert any(r.label.startswith("young-gap:extra0") for r in res.reports)
     assert res.passed
 
 
 def test_young_reads_grid_n():
-    res = small("young", grid_n=64)
+    res = small("young", replicates=None, grid_n=64)
     assert res.grid_n == 64
     assert res.reports and all(r.grid_n == 64 for r in res.reports)
 
 
+def test_unread_sizes_rejected():
+    # young and moment_constant draw no replicates; moment_constant has no grid
+    with pytest.raises(LabError, match="young: replicates is not used"):
+        small("young", replicates=2000)
+    with pytest.raises(LabError, match="moment_constant: replicates is not used"):
+        small("moment_constant", replicates=2000, grid_n=None)
+    with pytest.raises(LabError, match="moment_constant: grid_n is not used"):
+        small("moment_constant", replicates=None, grid_n=128)
+
+
 def test_moment_constant_experiment_feasibility_pattern():
-    res = small("moment_constant")
+    res = small("moment_constant", replicates=None, grid_n=None)
     # the default beta/delta/p grid is feasible everywhere
     assert res.passed
     by_label = {r.label: r for r in res.reports}
@@ -203,7 +213,7 @@ def test_moment_constant_experiment_feasibility_pattern():
 
 def test_moment_constant_experiment_flags_infeasible_order():
     # beta=1.5, delta=0.25, line 1: c = 0.25 >= 1.5^-4, so p=4 is infeasible
-    res = small("moment_constant", orders=(4.0,))
+    res = small("moment_constant", replicates=None, grid_n=None, orders=(4.0,))
     row = {r.label: r for r in res.reports}["feasibility:line1:beta1.5:delta0.25:p4.0"]
     assert "constant" not in row.extras
     assert row.verdict == "fail"
