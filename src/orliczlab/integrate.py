@@ -16,11 +16,13 @@ Every integrand is factored: its value on atom a along driver coordinate j
 is ``coef[a, j] * g[r, k, j]``, an adapted factor g per coordinate times a
 fixed per-atom coefficient, so no (reps, n+1, atoms, d) tensor is built.
 The integral and the energy take one prefix sum per distinct ``coef`` row,
-shared by the atoms that carry it.
+shared by the atoms that carry it.  The factor covers the leading
+``values.shape[-1]`` driver coordinates; the integrand is zero along the
+rest, so the e1 rules carry a single factor column.
 
 All kernels are batch-first: driver paths (reps, coords, n+1), factors
-(reps, n+1, coords), coefficients (atoms, coords), integral and energy
-paths (reps, n+1, atoms).
+(reps, n+1, d), coefficients (atoms, d) with d <= coords, integral and
+energy paths (reps, n+1, atoms).
 """
 
 from __future__ import annotations
@@ -99,13 +101,14 @@ def ito_integral(values: np.ndarray, coef: np.ndarray, increments: np.ndarray) -
     The integrand is ``coef[a, j] * values[r, k, j]``: the factor ``values``
     on the full grid (reps, n+1, d), of which only the left points k < n
     enter the sum, and ``coef`` (atoms, d).  ``increments`` is the driver
-    (reps, d, n).  Each step's term ``sum_j (values_j * coef_j) * dB_j`` is
-    added in coordinate order, skipping zero coefficients.
+    (reps, coords, n), of which the leading d coordinates are read.  Each
+    step's term ``sum_j (values_j * coef_j) * dB_j`` is added in coordinate
+    order, skipping zero coefficients.
     """
     values = np.asarray(values, dtype=float)
     coef = np.asarray(coef, dtype=float)
     increments = np.asarray(increments, dtype=float)
-    if not values.shape[-1] == coef.shape[-1] == increments.shape[1]:
+    if not values.shape[-1] == coef.shape[-1] <= increments.shape[1]:
         raise ProcessError(
             f"coordinate mismatch: process has {values.shape[-1]} factors and"
             f" {coef.shape[-1]} coefficients, driver {increments.shape[1]}"
@@ -176,7 +179,7 @@ class RealizedProcess:
 
     grid: PathGrid
     space: DiscreteMeasureSpace
-    values: np.ndarray  # (reps, n+1, d)
+    values: np.ndarray  # (reps, n+1, d), d <= driver coordinates
     coef: np.ndarray  # (atoms, d)
     label: str
 
@@ -242,9 +245,9 @@ def make_elementary(
 
     ``value_fn(i, history)`` receives the driver truncated at the block's
     start, shape (reps, coords, s_i + 1), and must return (reps, d) values,
-    one per driver coordinate; it cannot read past the breakpoint, so the
-    result is adapted by construction.  ``coef`` (atoms, d) scales the
-    values per atom.
+    one per leading driver coordinate; it cannot read past the breakpoint,
+    so the result is adapted by construction.  ``coef`` (atoms, d) scales
+    the values per atom.
     """
     idx = np.asarray(break_indices, dtype=np.int64)
     if idx.ndim != 1 or idx.size < 2:
@@ -332,14 +335,11 @@ def _realize_rule(spec: ProcessSpec, paths, grid: PathGrid, space: DiscreteMeasu
         raise ProcessError(f"rule {spec.rule!r} needs {spec.min_coords} driver coordinates")
     n = grid.steps
     atoms = space.n_atoms
-    e1 = np.zeros((atoms, coords))
-    e1[:, 0] = 1.0
+    e1 = np.ones((atoms, 1))  # the e1 rules realize the first coordinate only
     if spec.rule == "constant_e1":
-        return RealizedProcess(grid, space, np.ones((reps, n + 1, coords)), e1, spec.label)
+        return RealizedProcess(grid, space, np.ones((reps, n + 1, 1)), e1, spec.label)
     if spec.rule == "B1_times_e1":
-        vals = np.zeros((reps, n + 1, coords))
-        vals[..., 0] = paths[:, 0]
-        return RealizedProcess(grid, space, vals, e1, spec.label)
+        return RealizedProcess(grid, space, paths[:, 0, :, None], e1, spec.label)
     if spec.rule == "sign_of_B1":
         blocks = int(spec.params.get("blocks", 16))
         if not 1 <= blocks <= n:
@@ -347,9 +347,7 @@ def _realize_rule(spec: ProcessSpec, paths, grid: PathGrid, space: DiscreteMeasu
         idx = np.unique(np.linspace(0, n, blocks + 1).astype(np.int64))
 
         def value_fn(i, history):
-            out = np.zeros((history.shape[0], coords))
-            out[:, 0] = np.sign(history[:, 0, -1])
-            return out
+            return np.sign(history[:, :1, -1])
 
         return make_elementary(grid, space, idx, value_fn, paths, e1, spec.label).realize()
     if spec.rule == "two_coord_mix":

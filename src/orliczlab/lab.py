@@ -527,8 +527,10 @@ def run_doob_orlicz(cfg) -> ExperimentResult:
                 if pname == "dominated":
                     violations += int(np.count_nonzero(lhs_s > rhs_s))
             for gname, gauge in gauges:
-                tally.add(("conclusion", tag, pname, gname), gauge(xi), gauge(eta),
-                          bounds.get((pname, gname), 1.0))
+                # (doob, lambda_2) feeds only the stability rows: no difference is read
+                paired = () if (pname, gname) == ("doob", "lambda_2") else (
+                    bounds.get((pname, gname), 1.0),)
+                tally.add(("conclusion", tag, pname, gname), gauge(xi), gauge(eta), *paired)
 
     reports = []
     for key in tally.keys():
@@ -714,24 +716,33 @@ def _lenglart_orlicz(seed, replicates, params):
 # two-sided Orlicz comparison for vector integrals
 
 
-def _modular_paths(gauge: GrowthFunction, integral, eta, weights, c: float, read):
-    """Running supremum-side modular path, and the clock-side modular at the
-    grid indices ``read``, for scaled integrands c X.
+def _modular_paths(gauge: GrowthFunction, abs_integral, eta, weights, scales, read):
+    """Per scale c in ``scales``: the running supremum-side modular path, and
+    the clock-side modular at the grid indices ``read``, for scaled
+    integrands c X.
 
     For power gauges the scaling is analytic: modular(c f) = c^p modular(f),
     exact in floats for binary c, which realizes the homogeneity-invariance
-    contract.  Other gauges are re-evaluated at the scaled arguments.  The
-    clock is evaluated at the read indices only, one (reps, atoms) slice
-    each; the supremum needs the whole path.
+    contract; both modulars are evaluated once and scaled per c.  Other
+    gauges are re-evaluated at the scaled arguments.  The clock is evaluated
+    at the read indices only, one (reps, atoms) slice each; the supremum
+    needs the whole path.
     """
+    root = {i: np.sqrt(eta[:, i]) for i in read}
+    out = {}
     if gauge.family == "power" and float(gauge.params.get("coeff", 1.0)) == 1.0:
-        scale = float(c) ** float(gauge.params["p"])
-        mod = scale * modular_of_norms(np.abs(integral), weights, gauge)
-        clock = {i: scale * modular_of_norms(np.sqrt(eta[:, i]), weights, gauge) for i in read}
+        mod = modular_of_norms(abs_integral, weights, gauge)
+        clock = {i: modular_of_norms(r, weights, gauge) for i, r in root.items()}
+        for c in scales:
+            scale = float(c) ** float(gauge.params["p"])
+            out[c] = (np.maximum.accumulate(scale * mod, axis=1),
+                      {i: scale * v for i, v in clock.items()})
     else:
-        mod = modular_of_norms(c * np.abs(integral), weights, gauge)
-        clock = {i: modular_of_norms(c * np.sqrt(eta[:, i]), weights, gauge) for i in read}
-    return np.maximum.accumulate(mod, axis=1), clock
+        for c in scales:
+            mod = modular_of_norms(c * abs_integral, weights, gauge)
+            out[c] = (np.maximum.accumulate(mod, axis=1),
+                      {i: modular_of_norms(c * r, weights, gauge) for i, r in root.items()})
+    return out
 
 
 def run_orlicz_bdg(cfg) -> ExperimentResult:
@@ -752,6 +763,7 @@ def run_orlicz_bdg(cfg) -> ExperimentResult:
     if not classify_gauge(lambda2).a2_operational:
         raise LabError("lambda_2 fails the operational A2 probe")
     gauges = (("power_2", power2), ("lambda_2", lambda2))
+    rev_bounds = {"power_2": 1.0, "lambda_2": envelope}
     specs = [
         build_process({"rule": "sign_of_B1", "blocks": 16}),
         build_process({"rule": "two_coord_mix"}),
@@ -768,16 +780,18 @@ def run_orlicz_bdg(cfg) -> ExperimentResult:
         read = sorted({grid_points[t] for t, _ in combos})
         for spec in specs:
             realized = spec.realize(b.paths, b.grid, space)
-            integral = realized.integral(b.increments)
+            abs_integral = np.abs(realized.integral(b.increments))
             eta = realized.eta()
             for gname, gauge in gauges:
-                done = {}
+                done = _modular_paths(gauge, abs_integral, eta, space.weights,
+                                      sorted({c for _, c in combos}), read)
+                # only a fine reverse row at bound 1 reads the paired difference
+                paired = (1.0,) if tag == "4n" and rev_bounds[gname] == 1.0 else ()
                 for t_stop, c in combos:
-                    if c not in done:
-                        done[c] = _modular_paths(gauge, integral, eta, space.weights, c, read)
                     run_mod, clock = done[c]
                     idx = grid_points[t_stop]
-                    tally.add((spec.rule, gname, tag, t_stop, c), run_mod[:, idx], clock[idx], 1.0)
+                    tally.add((spec.rule, gname, tag, t_stop, c), run_mod[:, idx], clock[idx],
+                              *paired)
             if tag == "4n" and spec.rule == "two_coord_mix" and not norm_checks:
                 # power-gauge norm path agrees with modular^(1/p), first batch only
                 sample = np.sqrt(eta[: min(32, b.replicates), -1, :])
@@ -808,7 +822,7 @@ def run_orlicz_bdg(cfg) -> ExperimentResult:
     for spec in specs:
         for gname, _ in gauges:
             fwd_bound = 4.0 if gname == "power_2" else envelope
-            rev_bound = 1.0 if gname == "power_2" else envelope
+            rev_bound = rev_bounds[gname]
             extras = {} if gname == "power_2" else {"bound_kind": "envelope"}
             ratios = {}
             for t_stop in sweep_times:

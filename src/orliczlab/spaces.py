@@ -114,67 +114,85 @@ def modular_of_norms(norms: np.ndarray, weights: np.ndarray, gauge: GrowthFuncti
 _LUXEMBURG_TOL = 1e-9
 
 
-def _luxemburg_scalar(norms, weights, gauge) -> float:
-    top = float(norms.max(initial=0.0))
-    if top == 0.0:
-        return 0.0
-    mod = lambda lam: float(np.dot(weights, gauge(norms / lam)))
-    # bracket by doubling up from the largest value, or halving down from it
-    # when it is already feasible; no scale is evaluated twice
-    lo, hi = None, top
-    for _ in range(200):
-        mod_hi = mod(hi)
-        if mod_hi <= 1.0:
-            break
-        lo, hi = hi, hi * 2.0
-    else:
-        raise BracketError("luxemburg norm: no upper bracket")
-    if lo is None:
-        lo = hi
-        for _ in range(200):
-            nxt = lo * 0.5
-            mod_nxt = mod(nxt)
-            if mod_nxt > 1.0:
-                lo = nxt
-                break
-            lo = hi = nxt
-            mod_hi = mod_nxt
-        else:
-            # modular stays <= 1 at every probed scale; the infimum is 0
-            return 0.0
-    # invariant: mod(lo) > 1 >= mod(hi) = mod_hi; keep the feasible upper end
-    while hi - lo > 1e-13 * hi:
-        mid = 0.5 * (lo + hi)
-        mod_mid = mod(mid)
-        if mod_mid <= 1.0:
-            hi, mod_hi = mid, mod_mid
-        else:
-            lo = mid
-        if abs(mod_hi - 1.0) <= _LUXEMBURG_TOL:
-            break
-    return hi
-
-
 def luxemburg_norm(f: OrliczVector, gauge: GrowthFunction) -> float:
-    """Smallest lambda with [f/lambda]_L <= 1, by bisection.
+    """Smallest lambda with [f/lambda]_L <= 1: ``luxemburg_of_norms`` on one row.
 
     Returns 0.0 for the zero vector.  The returned value is the feasible
     bisection end, so the unit-ball law [f/norm]_L <= 1 holds exactly for
     the approximant; for continuous strictly scaling gauges the modular at
     the result is 1 within 1e-9.  Each scale is evaluated once.
     """
-    return _luxemburg_scalar(f.norms(), f.space.weights, gauge)
+    return float(luxemburg_of_norms(f.norms()[None, :], f.space.weights, gauge)[0])
 
 
 def luxemburg_of_norms(
     norms: np.ndarray, weights: np.ndarray, gauge: GrowthFunction
 ) -> np.ndarray:
-    """Luxemburg norm over a batch: ``norms`` has shape (..., n_atoms)."""
+    """Luxemburg norm over a batch: ``norms`` has shape (..., n_atoms).
+
+    One masked bisection over all rows; each round evaluates the gauge once,
+    on the rows still moving.  Per row, the bracket doubles up from the
+    row's largest value, or halves down from it when that is already
+    feasible, then bisects and keeps the feasible upper end, until the
+    bracket is within 1e-13 relative or, checked after each step, the
+    modular there is within ``_LUXEMBURG_TOL`` of 1.  No row evaluates a
+    scale twice.  A zero row, and a row feasible at every probed scale, get
+    0.0; a row with no feasible scale in 200 doublings (a NaN row under a
+    NaN-propagating gauge among them) raises ``BracketError``.
+    """
     norms = np.asarray(norms, dtype=float)
     weights = np.asarray(weights, dtype=float)
     flat = norms.reshape(-1, norms.shape[-1])
-    out = np.array([_luxemburg_scalar(row, weights, gauge) for row in flat])
-    return out.reshape(norms.shape[:-1])
+    # vecdot reduces each row as np.dot does one vector, bit for bit
+    mod = lambda rows, lam: np.vecdot(gauge(flat[rows] / lam[:, None]), weights)
+
+    hi = flat.max(axis=1, initial=0.0)
+    lo = np.zeros_like(hi)
+    mod_hi = np.zeros_like(hi)
+    # doubling: a row moves on unless mod <= 1, so a NaN modular keeps doubling
+    doubled = np.zeros(hi.shape, dtype=bool)
+    live = np.flatnonzero(hi != 0.0)
+    for _ in range(200):
+        if not live.size:
+            break
+        m = mod(live, hi[live])
+        mod_hi[live] = m
+        live = live[~(m <= 1.0)]
+        lo[live] = hi[live]
+        hi[live] *= 2.0
+        doubled[live] = True
+    if live.size:
+        raise BracketError("luxemburg norm: no upper bracket")
+    # halving, for rows already feasible at their largest value: stop once
+    # the next scale is infeasible
+    live = np.flatnonzero(~doubled & (hi != 0.0))
+    lo[live] = hi[live]
+    for _ in range(200):
+        if not live.size:
+            break
+        nxt = 0.5 * lo[live]
+        m = mod(live, nxt)
+        lo[live] = nxt
+        feasible = ~(m > 1.0)
+        live = live[feasible]
+        hi[live] = nxt[feasible]
+        mod_hi[live] = m[feasible]
+    # the modular stays <= 1 at every probed scale: the infimum is 0
+    hi[live] = 0.0
+    # bisection; invariant: mod(lo) > 1 >= mod(hi) = mod_hi
+    live = np.flatnonzero(hi != 0.0)
+    while True:
+        live = live[hi[live] - lo[live] > 1e-13 * hi[live]]
+        if not live.size:
+            break
+        mid = 0.5 * (lo[live] + hi[live])
+        m = mod(live, mid)
+        feasible = m <= 1.0
+        hi[live[feasible]] = mid[feasible]
+        mod_hi[live[feasible]] = m[feasible]
+        lo[live[~feasible]] = mid[~feasible]
+        live = live[~(np.abs(mod_hi[live] - 1.0) <= _LUXEMBURG_TOL)]
+    return hi.reshape(norms.shape[:-1])
 
 
 @dataclass(frozen=True)
@@ -216,21 +234,23 @@ def verify_norm_relations(
     raw = rng.normal(size=(n_samples, space.n_atoms, dim))
     vectors = [OrliczVector(space, scales[i] * raw[i]) for i in range(n_samples)]
 
+    sums = np.array([f.plus(g).norms() for f, g in zip(vectors, vectors[1:])])
+    norms = luxemburg_of_norms(np.array([f.norms() for f in vectors]), space.weights, gauge)
+    norms = norms.tolist()
+    sum_norms = luxemburg_of_norms(sums, space.weights, gauge).tolist()
+
     unit_ball = 0.0
     mod_margin = np.inf
     norm_margin = np.inf
-    norms = []
-    for f in vectors:
-        lam = luxemburg_norm(f, gauge)
-        norms.append(lam)
+    for f, lam in zip(vectors, norms):
         m = modular(f, gauge)
         unit_ball = max(unit_ball, modular(f.scaled(1.0 / lam), gauge))
         mod_margin = min(mod_margin, phi_of(gauge, lam) - m)
         norm_margin = min(norm_margin, varphi_of(gauge, m) - lam)
 
     gamma_hat = 0.0
-    for f, g, nf, ng in zip(vectors, vectors[1:], norms, norms[1:]):
-        gamma_hat = max(gamma_hat, luxemburg_norm(f.plus(g), gauge) / (nf + ng))
+    for ns, nf, ng in zip(sum_norms, norms, norms[1:]):
+        gamma_hat = max(gamma_hat, ns / (nf + ng))
     alpha = _alpha_star(gauge, np.geomspace(2.0, 512.0, 768))
 
     # faithfulness: rescale a sample to norm = tol and bound its atoms

@@ -94,8 +94,12 @@ class TestExactIdentities:
 
 
 def dense_reference(x, increments):
-    """Integral and energy from the dense (reps, n+1, atoms, d) integrand."""
-    dense = x.coef[None, None] * x.values[:, :, None, :]
+    """Integral and energy from the dense (reps, n+1, atoms, coords) integrand,
+    zero along the driver coordinates past the factor's."""
+    pad = increments.shape[1] - x.coef.shape[-1]
+    coef = np.pad(x.coef, ((0, 0), (0, pad)))
+    values = np.pad(x.values, ((0, 0), (0, 0), (0, pad)))
+    dense = coef[None, None] * values[:, :, None, :]
     integral = np.zeros(dense.shape[:3])
     np.cumsum(np.einsum("rkad,rdk->rka", dense[:, :-1], increments), axis=1,
               out=integral[:, 1:])
@@ -113,12 +117,26 @@ def test_factored_kernels_equal_dense_einsum(rule, atoms):
     bundle = small_bundle(coords=2, n=64, reps=40, stream=("itest", "dense", rule))
     space = DiscreteMeasureSpace(np.linspace(1.0, 2.0, atoms))
     x = build_process({"rule": rule}).realize(bundle.paths, bundle.grid, space)
+    # the e1 rules realize only the coordinate they read
+    assert x.values.shape[-1] == x.coef.shape[-1] == (2 if rule == "two_coord_mix" else 1)
     integral, eta = x.integral(bundle.increments), x.eta()
     ref_integral, ref_eta = dense_reference(x, bundle.increments)
     assert np.array_equal(integral, ref_integral)
     assert np.array_equal(eta, ref_eta)
     for out in (integral, eta):
         assert out.shape == (40, 65, atoms) and out.flags.c_contiguous
+
+
+def test_ito_integral_reads_leading_driver_coordinates():
+    bundle = small_bundle(coords=2, n=32, reps=10, stream=("itest", "leading"))
+    x = np.moveaxis(bundle.paths[:, :1], 1, -1)
+    one = ito_integral(x, np.ones((2, 1)), bundle.increments)
+    assert np.array_equal(one, ito_integral(x, np.ones((2, 1)), bundle.increments[:, :1]))
+    with pytest.raises(ProcessError, match="coordinate mismatch"):
+        ito_integral(x, np.ones((2, 2)), bundle.increments)
+    wide = np.concatenate([x, x, x], axis=-1)
+    with pytest.raises(ProcessError, match="coordinate mismatch"):
+        ito_integral(wide, np.ones((2, 3)), bundle.increments)
 
 
 class TestIsometry:

@@ -131,6 +131,9 @@ def test_luxemburg_saturating_gauge_returns_zero():
     sp = S.DiscreteMeasureSpace(np.array([0.25, 0.25]))
     f = S.OrliczVector(sp, np.ones((2, 1)))
     assert S.luxemburg_norm(f, gauge) == 0.0
+    rows = np.abs(substream(4, "spaces-saturating").normal(size=(16, 2))) * np.geomspace(
+        np.exp(-6.0), np.exp(6.0), 16)[:, None]
+    assert np.array_equal(S.luxemburg_of_norms(rows, sp.weights, gauge), np.zeros(16))
 
 
 @settings(max_examples=40, deadline=None)
@@ -159,6 +162,109 @@ def test_luxemburg_batch_kernel(space4):
     assert batch.shape == (3, 2)
     f = S.OrliczVector(space4, norms[1, 0][:, None])
     assert batch[1, 0] == pytest.approx(S.luxemburg_norm(f, gauge), rel=1e-12)
+    assert S.luxemburg_of_norms(np.zeros((0, 4)), space4.weights, gauge).shape == (0,)
+
+
+def _row_loop_luxemburg(rows, weights, gauge):
+    """Reference: the bisection run one row at a time on scalars."""
+    out = []
+    for norms in rows:
+        top = float(norms.max(initial=0.0))
+        if top == 0.0:
+            out.append(0.0)
+            continue
+        mod = lambda lam: float(np.dot(weights, gauge(norms / lam)))
+        lo, hi = None, top
+        for _ in range(200):
+            mod_hi = mod(hi)
+            if mod_hi <= 1.0:
+                break
+            lo, hi = hi, hi * 2.0
+        else:
+            raise G.BracketError("no upper bracket")
+        if lo is None:
+            lo = hi
+            for _ in range(200):
+                nxt = lo * 0.5
+                mod_nxt = mod(nxt)
+                if mod_nxt > 1.0:
+                    lo = nxt
+                    break
+                lo = hi = nxt
+                mod_hi = mod_nxt
+            else:
+                out.append(0.0)
+                continue
+        while hi - lo > 1e-13 * hi:
+            mid = 0.5 * (lo + hi)
+            mod_mid = mod(mid)
+            if mod_mid <= 1.0:
+                hi, mod_hi = mid, mod_mid
+            else:
+                lo = mid
+            if abs(mod_hi - 1.0) <= 1e-9:
+                break
+        out.append(hi)
+    return np.array(out)
+
+
+def _lux_rows():
+    """Pairwise non-proportional rows: spread over e^-6..e^6, one zero row,
+    and rows feasible at their largest value (the bracket halves), one of
+    them carried by the 0.5-weight atom alone."""
+    rng = substream(13, "spaces-lux-batch")
+    spread = np.exp(rng.uniform(-6.0, 6.0, size=(64, 1))) * np.abs(rng.normal(size=(64, 4)))
+    light = np.exp(rng.uniform(-6.0, 6.0, size=(8, 1))) * np.column_stack(
+        [rng.uniform(0.0, 0.1, size=(8, 3)), np.ones(8)])
+    light[0, :3] = 0.0
+    return np.vstack([spread, np.zeros((1, 4)), light])
+
+
+# the four gauge-numerics gauges, and a table gauge flat at 2 on [0.5, 1.6]:
+# the row carried by the 0.5-weight atom then has modular exactly 1 on a
+# stretch of scales, where stopping before the first bisection step would
+# return the bracket end instead of the norm
+BATCH_GAUGES = {
+    "power_1_5": G.get_gauge("power_1_5"),
+    "power_2": G.get_gauge("power_2"),
+    "power_log_2": G.get_gauge("power_log_2"),
+    "lambda_2": G.get_gauge("lambda_2"),
+    "flat_table": G.make_gauge("table", knots=[[0.1, 0.1], [0.5, 2.0], [1.6, 2.0], [3.2, 4.0]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_GAUGES))
+def test_luxemburg_of_norms_replays_row_loop(space4, name):
+    gauge = BATCH_GAUGES[name]
+    rows = _lux_rows()
+    batch = S.luxemburg_of_norms(rows, space4.weights, gauge)
+    assert np.array_equal(batch, _row_loop_luxemburg(rows, space4.weights, gauge))
+
+
+def test_luxemburg_of_norms_nan_row_raises(space4):
+    # a NaN modular is never feasible: the row doubles until the bracket cap
+    rows = _lux_rows()
+    rows[5, 2] = np.nan
+    with pytest.raises(G.BracketError):
+        S.luxemburg_of_norms(rows, space4.weights, G.get_gauge("power_2"))
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_GAUGES))
+def test_luxemburg_of_norms_evaluates_each_scale_once_per_row(space4, name):
+    # the rows are pairwise non-proportional, so a repeated scaled row
+    # means one row evaluated twice at one scale
+    base = BATCH_GAUGES[name]
+    seen = []
+
+    def counting(t):
+        seen.extend(row.tobytes() for row in t)
+        return base(t)
+
+    gauge = dataclasses.replace(base, _eval=counting)
+    rows = _lux_rows()
+    batch = S.luxemburg_of_norms(rows, space4.weights, gauge)
+    assert np.array_equal(batch, _row_loop_luxemburg(rows, space4.weights, base))
+    assert len(seen) > 10 * rows.shape[0] and len(set(seen)) == len(seen)
 
 
 @pytest.mark.parametrize("name", ["power_2", "power_1_5", "lambda_1", "power_log_2"])
