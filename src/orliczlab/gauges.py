@@ -49,6 +49,10 @@ __all__ = [
 _KINK = math.exp(-1.0)
 # Relative bracket width at which GrowthFunction.inverse stops bisecting.
 _INVERSE_REL_TOL = 1e-12
+# Probe range [_FLOOR, _CEIL] of the numeric transforms and the classifier:
+# _DECADES decades, _PER_DECADE geometric points each.
+_FLOOR, _CEIL, _DECADES = 1e-8, 1e8, 16
+_PER_DECADE = 32
 
 
 class GaugeError(ValueError):
@@ -153,12 +157,10 @@ class GrowthFunction:
     family: str
     params: dict
     label: str
-    domain_floor: float = 1e-8
     _eval: Callable = field(default=None, repr=False)
     _deriv: Callable | None = field(default=None, repr=False)
     _phi_closed: Callable | None = field(default=None, repr=False)
     _complement: Callable | None = field(default=None, repr=False)
-    kappa_closed: float | None = None
     rv_index_closed: float | None = None
 
     def __call__(self, t):
@@ -261,7 +263,6 @@ def make_gauge(family: str, **params) -> GrowthFunction:
             _deriv=lambda t, p=p, c=coeff: c * p * np.power(np.asarray(t, float), p - 1.0),
             _phi_closed=_power_phi(p),
             _complement=_power_complement(p, coeff),
-            kappa_closed=(1.0 / (p - 1.0)) if p > 1.0 else None,
             rv_index_closed=p,
         )
     if family == "power_log":
@@ -367,11 +368,10 @@ def phi_of(gauge: GrowthFunction, s: float, *, use_closed: bool = True) -> float
         raise GaugeError(f"phi transform needs s > 0, got {s}")
     if use_closed and gauge._phi_closed is not None:
         return float(gauge._phi_closed(s))
-    floor = gauge.domain_floor
     points = 4096
     prev = None
     while True:
-        t = np.geomspace(floor, 1.0 / floor, points)
+        t = np.geomspace(_FLOOR, 1.0 / _FLOOR, points)
         with np.errstate(over="ignore", invalid="ignore"):
             num = gauge(s * t)
             den = gauge(t)
@@ -478,8 +478,7 @@ def complementary_gauge(gauge: GrowthFunction) -> GrowthFunction:
     inverse of the right derivative.  Raises :class:`NotNFunctionError` when
     the strict N-function probe rejects the gauge.
     """
-    report = classify_gauge(gauge)
-    if not report.is_N_function:
+    if not _is_n_function(gauge):
         raise NotNFunctionError(
             f"gauge {gauge.label} failed the N-function probe; no complementary gauge"
         )
@@ -552,9 +551,6 @@ def kappa_probe(gauge: GrowthFunction) -> tuple[float | None, str]:
 # ---------------------------------------------------------------------------
 # classification
 
-# Probe range [_FLOOR, _CEIL]: _DECADES decades, _PER_DECADE geometric points each.
-_FLOOR, _CEIL, _DECADES = 1e-8, 1e8, 16
-_PER_DECADE = 32
 # Dilations at which the A0 probe measures sup_t L(lam t)/L(t).
 _LAMBDAS = (1.5, 2.0, 4.0)
 
@@ -654,6 +650,11 @@ def _convex_fine(gauge: GrowthFunction) -> bool:
     return not bool(np.any(drops))
 
 
+def _is_n_function(gauge: GrowthFunction) -> bool:
+    """The strict N-function probe: the limits of L(t)/t and fine-grid convexity."""
+    return bool(_n_limits(gauge) and _convex_fine(gauge))
+
+
 def _convex_decade_chords(gauge: GrowthFunction) -> bool:
     t = _FLOOR * 10.0 ** np.arange(_DECADES + 1)
     vals = gauge(t)
@@ -683,9 +684,8 @@ def classify_gauge(gauge: GrowthFunction) -> GaugeClassReport:
     else:
         smallest = math.nan
         is_a1 = False
-    limits_ok = _n_limits(gauge)
-    is_n = bool(limits_ok and _convex_fine(gauge))
-    wide_n = bool(limits_ok and _convex_decade_chords(gauge))
+    is_n = _is_n_function(gauge)
+    wide_n = bool(_n_limits(gauge) and _convex_decade_chords(gauge))
     kappa_val, diag = kappa_probe(gauge) if is_a0 else (None, "kappa probe skipped: not moderately increasing")
     kappa_a2 = kappa_val if (kappa_val is not None and is_a1 and is_n) else None
     a2_op = bool(is_a1 and wide_n and kappa_val is not None)

@@ -36,9 +36,11 @@ factor)``, which yields ``(tag, batch)`` per driver batch; with
 ``factor=4`` each batch comes as ``"4n"`` on the fine grid, then as ``"n"``
 coarsened.  In the loop, feed both sides of each inequality to one
 ``_Tally`` with ``add(key, lhs, rhs, *bounds)``, listing the bounds whose
-rows should carry the paired slack.  After the loop,
-build the rows with ``_Tally.row`` (``reverse=True`` checks rhs against
-lhs) and take grid steps from the views.
+rows should carry the paired slack.  After the loop, build the rows with
+``_Tally.row`` (``reverse=True`` checks rhs against lhs), at the grid steps
+of each tag (``{"4n": n * factor, "n": n}``).  Deterministic rows come from
+``_exact_row`` and its forms ``_stability_rows``, ``_spread_row`` and
+``_scaling_row``.
 """
 
 from __future__ import annotations
@@ -245,32 +247,37 @@ def _take_at(paths_like: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return paths_like[rows, idx]
 
 
+def _exact_row(label, lhs, rhs, bound, grid_n, extras=None) -> RatioReport:
+    """A deterministic row: both sides exact, so the slack is 0."""
+    return RatioReport(label, McEstimate.exact(lhs), McEstimate.exact(rhs), bound, grid_n,
+                       extras=extras or {})
+
+
 def _stability_rows(prefix, ratio_fine, ratio_coarse, tol, grid_n) -> list:
     ex = {"ratio_fine": ratio_fine, "ratio_coarse": ratio_coarse}
     return [
-        RatioReport(f"{prefix}:fine-vs-coarse", McEstimate.exact(ratio_fine),
-                    McEstimate.exact(ratio_coarse), 1.0 + tol, grid_n, extras=ex),
-        RatioReport(f"{prefix}:coarse-vs-fine", McEstimate.exact(ratio_coarse),
-                    McEstimate.exact(ratio_fine), 1.0 + tol, grid_n, extras=ex),
+        _exact_row(f"{prefix}:fine-vs-coarse", ratio_fine, ratio_coarse, 1.0 + tol, grid_n, ex),
+        _exact_row(f"{prefix}:coarse-vs-fine", ratio_coarse, ratio_fine, 1.0 + tol, grid_n, ex),
     ]
 
 
-def _sweep_rows(pair, tally, ratios, stability_factor, grid_n):
-    """Spread of the sweep ratios and their bitwise invariance under X -> cX,
-    which multiplies both sweep sums by c^2 (the square gauge); returns the
-    rows, the T=1 ratio and whether the invariance held."""
-    r_vals = list(ratios.values())
-    base = ratios[1.0]
-    lhs, rhs = tally.sides(("sweep", 1.0))
-    scaled = [(c**2 * lhs.mean) / (c**2 * rhs.mean) for c in (0.5, 2.0)]
+def _spread_row(label, ratios, factor, grid_n, extras=None) -> RatioReport:
+    """Largest over smallest of a sweep's ratios, within ``factor``."""
+    return _exact_row(label, max(ratios), min(ratios), factor, grid_n, extras)
+
+
+def _scaling_row(label, scaled, base, grid_n) -> RatioReport:
+    """Bitwise invariance under X -> cX: every ratio in ``scaled``, taken
+    from the scaled sums, must equal the unscaled ``base``."""
     exact = all(v == base for v in scaled)
-    rows = [
-        RatioReport(f"sweep:{pair}:spread", McEstimate.exact(max(r_vals)),
-                    McEstimate.exact(min(r_vals)), stability_factor, grid_n),
-        RatioReport(f"scaling-exact:{pair}", McEstimate.exact(max(scaled)),
-                    McEstimate.exact(base), 1.0, grid_n, extras={"scaling_exact": exact}),
-    ]
-    return rows, base, exact
+    return _exact_row(label, max(scaled), base, 1.0, grid_n, {"scaling_exact": exact})
+
+
+def _square_scaled(tally, key) -> list:
+    """The ratio at ``key`` for X -> cX, c = 0.5 and 2: the square gauge
+    multiplies both sums by c^2."""
+    lhs, rhs = tally.sides(key)
+    return [(c**2 * lhs.mean) / (c**2 * rhs.mean) for c in (0.5, 2.0)]
 
 
 # ---------------------------------------------------------------------------
@@ -294,28 +301,13 @@ def run_young(cfg) -> ExperimentResult:
         names.append(name)
         comp = complementary_gauge(gauge)
         gaps = young_gap(gauge, comp, s_grid[:, None], t_grid[None, :])
-        reports.append(
-            RatioReport(
-                label=f"young-gap:{name}",
-                lhs=McEstimate.exact(-float(gaps.min())),
-                rhs=McEstimate.exact(1.0),
-                bound=1e-9,
-                grid_n=grid_pts,
-                extras={"min_gap": float(gaps.min())},
-            )
-        )
+        reports.append(_exact_row(f"young-gap:{name}", -float(gaps.min()), 1.0, 1e-9, grid_pts,
+                                  {"min_gap": float(gaps.min())}))
         if name == "half_square":
             # equality t = L'(s): gap vanishes along the derivative curve
             eq_gaps = young_gap(gauge, comp, s_grid, gauge.derivative(s_grid))
-            reports.append(
-                RatioReport(
-                    label="young-equality:half_square",
-                    lhs=McEstimate.exact(float(np.abs(eq_gaps).max())),
-                    rhs=McEstimate.exact(1.0),
-                    bound=1e-6,
-                    grid_n=grid_pts,
-                )
-            )
+            reports.append(_exact_row("young-equality:half_square",
+                                      float(np.abs(eq_gaps).max()), 1.0, 1e-6, grid_pts))
     return ExperimentResult("young", grid_pts, reports, notes={"gauges": ",".join(names)})
 
 
@@ -332,16 +324,9 @@ def run_moment_constant(cfg) -> ExperimentResult:
                     extras = {"c_delta": c_delta}
                     if feasible:
                         extras["constant"] = derive_moment_constant(beta, delta, p, c_delta)
-                    reports.append(
-                        RatioReport(
-                            label=f"feasibility:line{line}:beta{beta}:delta{delta}:p{p}",
-                            lhs=McEstimate.exact(c_delta),
-                            rhs=McEstimate.exact(beta ** (-p)),
-                            bound=1.0,
-                            grid_n=0,
-                            extras=extras,
-                        )
-                    )
+                    reports.append(_exact_row(
+                        f"feasibility:line{line}:beta{beta}:delta{delta}:p{p}",
+                        c_delta, beta ** (-p), 1.0, 0, extras))
     return ExperimentResult("moment_constant", 0, reports)
 
 
@@ -364,9 +349,8 @@ def run_isometry(cfg) -> ExperimentResult:
     ]
 
     tally = _Tally()
-    steps = {}
+    steps = {"4n": n * factor, "n": n}
     for tag, b in _views(cfg.seed, "isometry", 2, fine_grid, replicates, 2048, factor):
-        steps[tag] = b.grid.steps
         first_exit = hitting_index(np.abs(b.paths[:, 0, :]), params["exit_level"])[0]
         for spec in specs:
             realized = spec.realize(b.paths, b.grid, space)
@@ -412,9 +396,8 @@ def run_good_lambda(cfg) -> ExperimentResult:
     fine_grid = PathGrid(params["horizon"], n * factor)
 
     tally = _Tally()
-    steps = {}
+    steps = {"4n": n * factor, "n": n}
     for tag, b in _views(cfg.seed, "good_lambda", 1, fine_grid, replicates, 2048, factor):
-        steps[tag] = b.grid.steps
         absb = np.abs(b.paths[:, 0, :])
         tau, _ = hitting_index(absb, params["exit_level"])  # sentinel = horizon cap
         x = _take_at(np.maximum.accumulate(absb, axis=1), tau)
@@ -507,10 +490,9 @@ def run_doob_orlicz(cfg) -> ExperimentResult:
     bounds = {("doob", "power_2"): 4.0}  # the Doob constant; 1 elsewhere
 
     tally = _Tally()
-    steps = {}
+    steps = {"4n": n * factor, "n": n}
     violations = 0
     for tag, b in _views(cfg.seed, "doob_orlicz", 1, fine_grid, replicates, 2048, factor):
-        steps[tag] = b.grid.steps
         terminal = np.abs(b.paths[:, 0, -1])
         supremum = running_abs_max(b.paths[:, 0, :])[:, -1]
         pairs = {
@@ -650,9 +632,11 @@ def _lenglart_scalar(seed, replicates, n, params):
         ratios[t_stop] = tally.ratio(("sweep", t_stop))
         reports.append(tally.row(f"sweep:scalar:T{t_stop}", ("sweep", t_stop), c_star, n,
                                  {"ratio": ratios[t_stop]}))
-    rows, base, exact = _sweep_rows("scalar", tally, ratios, stability_factor, n)
-    reports.extend(rows)
-    return reports, {"scalar_ratio": base, "scalar_scaling_exact": exact}, True
+    reports.append(_spread_row("sweep:scalar:spread", ratios.values(), stability_factor, n))
+    reports.append(_scaling_row("scaling-exact:scalar", _square_scaled(tally, ("sweep", 1.0)),
+                                ratios[1.0], n))
+    exact = reports[-1].extras["scaling_exact"]
+    return reports, {"scalar_ratio": ratios[1.0], "scalar_scaling_exact": exact}, True
 
 
 def _lenglart_orlicz(seed, replicates, params):
@@ -707,9 +691,12 @@ def _lenglart_orlicz(seed, replicates, params):
         row = tally.row(f"sweep:orlicz:T{t_stop}", ("sweep", t_stop), 4.0, n_master)
         ratios[t_stop] = row.ratio
         reports.append(row)
-    rows, base, exact = _sweep_rows("orlicz", tally, ratios, stability_factor, n_master)
-    reports.extend(rows)
-    return reports, {"orlicz_ratio": base, "orlicz_scaling_exact": exact}, True
+    reports.append(_spread_row("sweep:orlicz:spread", ratios.values(), stability_factor,
+                               n_master))
+    reports.append(_scaling_row("scaling-exact:orlicz", _square_scaled(tally, ("sweep", 1.0)),
+                                ratios[1.0], n_master))
+    exact = reports[-1].extras["scaling_exact"]
+    return reports, {"orlicz_ratio": ratios[1.0], "orlicz_scaling_exact": exact}, True
 
 
 # ---------------------------------------------------------------------------
@@ -771,10 +758,9 @@ def run_orlicz_bdg(cfg) -> ExperimentResult:
     single_spec = build_process({"rule": "constant_e1"})
 
     tally = _Tally()  # (rule, gname, tag, T, c): fine sweeps + coarse base; "single"
-    steps = {}
+    steps = {"4n": n * factor, "n": n}
     norm_checks = []
     for tag, b in _views(cfg.seed, "orlicz_bdg", 2, fine_grid, replicates, 512, factor):
-        steps[tag] = b.grid.steps
         grid_points = {t: b.grid.index_of(t) for t in sweep_times}
         combos = [(t, c) for t in sweep_times for c in scales] if tag == "4n" else [(horizon, 1.0)]
         read = sorted({grid_points[t] for t, _ in combos})
@@ -801,15 +787,8 @@ def run_orlicz_bdg(cfg) -> ExperimentResult:
                     lux = luxemburg_of_norms(sample, space.weights, g)
                     alg = modular_of_norms(sample, space.weights, g) ** (1.0 / p)
                     rel = np.abs(lux - alg) / np.where(alg > 0, alg, 1.0)
-                    norm_checks.append(
-                        RatioReport(
-                            f"norm-agreement:{gname}",
-                            McEstimate.exact(float(rel.max())),
-                            McEstimate.exact(1.0),
-                            1e-6,
-                            b.grid.steps,
-                        )
-                    )
+                    norm_checks.append(_exact_row(f"norm-agreement:{gname}", float(rel.max()),
+                                                  1.0, 1e-6, steps["4n"]))
         if tag == "4n":
             # single-atom reduction: X = e1, modular path = B^2, clock = t
             realized = single_spec.realize(b.paths, b.grid, space1)
@@ -835,12 +814,8 @@ def run_orlicz_bdg(cfg) -> ExperimentResult:
                                                lhs, rhs, fwd_bound, steps["4n"], extras=extras))
                     reports.append(tally.row(f"reverse:{spec.rule}:{gname}:T{t_stop}:c{c}",
                                              key, rev_bound, steps["4n"], extras, reverse=True))
-            r_vals = list(ratios.values())
-            reports.append(
-                RatioReport(f"sweep:{spec.rule}:{gname}", McEstimate.exact(max(r_vals)),
-                            McEstimate.exact(min(r_vals)), stability_factor, steps["4n"],
-                            extras={"combos": len(r_vals)})
-            )
+            reports.append(_spread_row(f"sweep:{spec.rule}:{gname}", ratios.values(),
+                                       stability_factor, steps["4n"], {"combos": len(ratios)}))
             r_coarse = tally.ratio((spec.rule, gname, "n", horizon, 1.0))
             r_fine = ratios[(horizon, 1.0)]
             reports.extend(
@@ -849,14 +824,9 @@ def run_orlicz_bdg(cfg) -> ExperimentResult:
             )
             if gname == "power_2":
                 # homogeneity: the analytic c-scaling cancels bitwise
-                base = ratios[(1.0, 1.0)]
-                exact = all(ratios[(1.0, c)] == base for c in scales)
-                reports.append(
-                    RatioReport(f"scaling-exact:{spec.rule}",
-                                McEstimate.exact(max(ratios[(1.0, c)] for c in scales)),
-                                McEstimate.exact(base), 1.0, steps["4n"],
-                                extras={"scaling_exact": exact})
-                )
+                reports.append(_scaling_row(f"scaling-exact:{spec.rule}",
+                                            [ratios[(1.0, c)] for c in scales],
+                                            ratios[(1.0, 1.0)], steps["4n"]))
     reports.append(tally.row("single-atom-fwd", "single", 4.0, steps["4n"]))
     reports.append(tally.row("single-atom-rev", "single", 1.0, steps["4n"], reverse=True))
     reports.extend(norm_checks)

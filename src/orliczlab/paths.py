@@ -111,8 +111,6 @@ class BrownianBatch:
     coords: int
     replicates: int
     increments: np.ndarray
-    seed: int
-    stream: tuple = ()
     _paths: np.ndarray = field(default=None, repr=False)
 
     @property
@@ -127,8 +125,6 @@ class BrownianBatch:
             coords=self.coords,
             replicates=self.replicates,
             increments=inc,
-            seed=self.seed,
-            stream=self.stream,
             _paths=paths_from_increments(inc),
         )
 
@@ -143,8 +139,6 @@ def simulate_batch(
         coords=coords,
         replicates=replicates,
         increments=inc,
-        seed=seed,
-        stream=tuple(stream) if isinstance(stream, (tuple, list)) else (stream,),
         _paths=paths_from_increments(inc),
     )
 

@@ -1,7 +1,8 @@
 """Finite atomic measure spaces and the Orlicz modular / Luxemburg norm.
 
-Vectors live on a finite list of weighted atoms with values in a Euclidean
-space.  The modular of a vector f under a gauge L is
+An Orlicz vector on a finite list of weighted atoms is seen only through
+its per-atom norms |f(x_i)|, so every function here takes a ``(..., atoms)``
+norm array.  The modular of f under a gauge L is
 
     [f]_L = sum_i  mu_i * L(|f(x_i)|)
 
@@ -23,11 +24,8 @@ from .gauges import BracketError, GrowthFunction, phi_of, varphi_of
 
 __all__ = [
     "DiscreteMeasureSpace",
-    "OrliczVector",
     "NormRelationReport",
-    "modular",
     "modular_of_norms",
-    "luxemburg_norm",
     "luxemburg_of_norms",
     "verify_norm_relations",
 ]
@@ -35,10 +33,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DiscreteMeasureSpace:
-    """Finite atomic measure space: atom labels plus positive weights."""
+    """Finite atomic measure space: one positive weight per atom."""
 
     weights: np.ndarray
-    labels: tuple[str, ...] = ()
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
@@ -47,61 +44,10 @@ class DiscreteMeasureSpace:
         if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
             raise ValueError("atom weights must be finite and strictly positive")
         object.__setattr__(self, "weights", w)
-        labels = self.labels or tuple(f"x{i}" for i in range(w.size))
-        if len(labels) != w.size:
-            raise ValueError("label count must match weight count")
-        if len(set(labels)) != len(labels):
-            raise ValueError("atom labels must be unique")
-        object.__setattr__(self, "labels", tuple(labels))
 
     @property
     def n_atoms(self) -> int:
         return self.weights.size
-
-    def to_config(self) -> dict:
-        return {"weights": [float(w) for w in self.weights]}
-
-    @staticmethod
-    def from_config(config: dict) -> "DiscreteMeasureSpace":
-        if "weights" not in config:
-            raise ValueError("space config: missing field 'weights'")
-        return DiscreteMeasureSpace(config["weights"])
-
-
-@dataclass(frozen=True)
-class OrliczVector:
-    """Vector field on a measure space: one Euclidean value per atom."""
-
-    space: DiscreteMeasureSpace
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim == 1:
-            v = v[:, None]
-        if v.ndim != 2 or v.shape[0] != self.space.n_atoms:
-            raise ValueError(
-                f"values must have shape (n_atoms, d); got {np.shape(self.values)}"
-            )
-        object.__setattr__(self, "values", v)
-
-    def norms(self) -> np.ndarray:
-        return np.linalg.norm(self.values, axis=1)
-
-    def scaled(self, c: float) -> "OrliczVector":
-        return OrliczVector(self.space, c * self.values)
-
-    def plus(self, other: "OrliczVector") -> "OrliczVector":
-        if other.space is not self.space and not np.array_equal(
-            other.space.weights, self.space.weights
-        ):
-            raise ValueError("vectors live on different measure spaces")
-        return OrliczVector(self.space, self.values + other.values)
-
-
-def modular(f: OrliczVector, gauge: GrowthFunction) -> float:
-    """[f]_L = sum_i mu_i L(|f(x_i)|)."""
-    return float(np.dot(f.space.weights, gauge(f.norms())))
 
 
 def modular_of_norms(norms: np.ndarray, weights: np.ndarray, gauge: GrowthFunction) -> np.ndarray:
@@ -114,20 +60,7 @@ def modular_of_norms(norms: np.ndarray, weights: np.ndarray, gauge: GrowthFuncti
 _LUXEMBURG_TOL = 1e-9
 
 
-def luxemburg_norm(f: OrliczVector, gauge: GrowthFunction) -> float:
-    """Smallest lambda with [f/lambda]_L <= 1: ``luxemburg_of_norms`` on one row.
-
-    Returns 0.0 for the zero vector.  The returned value is the feasible
-    bisection end, so the unit-ball law [f/norm]_L <= 1 holds exactly for
-    the approximant; for continuous strictly scaling gauges the modular at
-    the result is 1 within 1e-9.  Each scale is evaluated once.
-    """
-    return float(luxemburg_of_norms(f.norms()[None, :], f.space.weights, gauge)[0])
-
-
-def luxemburg_of_norms(
-    norms: np.ndarray, weights: np.ndarray, gauge: GrowthFunction
-) -> np.ndarray:
+def luxemburg_of_norms(norms: np.ndarray, weights: np.ndarray, gauge: GrowthFunction) -> np.ndarray:
     """Luxemburg norm over a batch: ``norms`` has shape (..., n_atoms).
 
     One masked bisection over all rows; each round evaluates the gauge once,
@@ -135,14 +68,20 @@ def luxemburg_of_norms(
     row's largest value, or halves down from it when that is already
     feasible, then bisects and keeps the feasible upper end, until the
     bracket is within 1e-13 relative or, checked after each step, the
-    modular there is within ``_LUXEMBURG_TOL`` of 1.  No row evaluates a
-    scale twice.  A zero row, and a row feasible at every probed scale, get
-    0.0; a row with no feasible scale in 200 doublings (a NaN row under a
-    NaN-propagating gauge among them) raises ``BracketError``.
+    modular there is within ``_LUXEMBURG_TOL`` of 1.  The unit-ball law
+    [f/norm]_L <= 1 thus holds exactly for the returned approximant.  No
+    row evaluates a scale twice.  A zero row, and a row feasible at every
+    probed scale, get 0.0.  A row holding NaN or +-inf, and a row with no
+    feasible scale in 200 doublings, raise ``BracketError``.
     """
     norms = np.asarray(norms, dtype=float)
     weights = np.asarray(weights, dtype=float)
     flat = norms.reshape(-1, norms.shape[-1])
+    bad = np.flatnonzero(~np.isfinite(flat).all(axis=1))
+    if bad.size:
+        # a gauge may map NaN to 0, which would read as a zero norm
+        row = tuple(int(k) for k in np.unravel_index(bad[0], norms.shape[:-1]))
+        raise BracketError(f"luxemburg norm: row {row} holds a non-finite value")
     # vecdot reduces each row as np.dot does one vector, bit for bit
     mod = lambda rows, lam: np.vecdot(gauge(flat[rows] / lam[:, None]), weights)
 
@@ -232,31 +171,27 @@ def verify_norm_relations(
     rng = substream(seed, "norm-relations", space.n_atoms, dim)
     scales = np.exp(rng.uniform(-3.0, 3.0, size=n_samples))
     raw = rng.normal(size=(n_samples, space.n_atoms, dim))
-    vectors = [OrliczVector(space, scales[i] * raw[i]) for i in range(n_samples)]
+    values = scales[:, None, None] * raw  # (samples, atoms, dim)
 
-    sums = np.array([f.plus(g).norms() for f, g in zip(vectors, vectors[1:])])
-    norms = luxemburg_of_norms(np.array([f.norms() for f in vectors]), space.weights, gauge)
-    norms = norms.tolist()
-    sum_norms = luxemburg_of_norms(sums, space.weights, gauge).tolist()
+    atom_norms = lambda v: np.linalg.norm(v, axis=-1)
+    # vecdot reduces each row as np.dot does one vector, bit for bit
+    modulars = lambda v: np.vecdot(gauge(atom_norms(v)), space.weights)
+    norms = luxemburg_of_norms(atom_norms(values), space.weights, gauge)
+    sum_norms = luxemburg_of_norms(atom_norms(values[:-1] + values[1:]), space.weights, gauge)
+    mods = modulars(values)
 
-    unit_ball = 0.0
-    mod_margin = np.inf
-    norm_margin = np.inf
-    for f, lam in zip(vectors, norms):
-        m = modular(f, gauge)
-        unit_ball = max(unit_ball, modular(f.scaled(1.0 / lam), gauge))
-        mod_margin = min(mod_margin, phi_of(gauge, lam) - m)
-        norm_margin = min(norm_margin, varphi_of(gauge, m) - lam)
-
-    gamma_hat = 0.0
-    for ns, nf, ng in zip(sum_norms, norms, norms[1:]):
-        gamma_hat = max(gamma_hat, ns / (nf + ng))
+    unit_ball = float(modulars((1.0 / norms)[:, None, None] * values).max(initial=0.0))
+    phis = np.array([phi_of(gauge, lam) for lam in norms])
+    varphis = np.array([varphi_of(gauge, m) for m in mods])
+    mod_margin = float((phis - mods).min())
+    norm_margin = float((varphis - norms).min())
+    gamma_hat = float((sum_norms / (norms[:-1] + norms[1:])).max(initial=0.0))
     alpha = _alpha_star(gauge, np.geomspace(2.0, 512.0, 768))
 
     # faithfulness: rescale a sample to norm = tol and bound its atoms
-    probe = vectors[0].scaled(tol / norms[0])
+    probe = atom_norms((tol / norms[0]) * values[0])
     envelope = np.array([gauge.inverse(1.0 / w) for w in space.weights])
-    faithful = float(np.max(probe.norms() / (tol * envelope)))
+    faithful = float(np.max(probe / (tol * envelope)))
 
     passed = bool(
         unit_ball <= 1.0 + 1e-12
@@ -268,8 +203,8 @@ def verify_norm_relations(
     return NormRelationReport(
         n_samples=n_samples,
         unit_ball_max=unit_ball,
-        modular_bound_margin=float(mod_margin),
-        norm_bound_margin=float(norm_margin),
+        modular_bound_margin=mod_margin,
+        norm_bound_margin=norm_margin,
         gamma_hat=gamma_hat,
         alpha_star=alpha,
         faithful_ratio=faithful,

@@ -13,7 +13,7 @@ KINK = math.exp(-1.0)
 
 def brute_phi(gauge, s, points=8192):
     # independent sup oracle: dense geometric grid, no refinement logic
-    t = np.geomspace(gauge.domain_floor, 1.0 / gauge.domain_floor, points)
+    t = np.geomspace(G._FLOOR, 1.0 / G._FLOOR, points)
     return float(np.max(gauge(s * t) / gauge(t)))
 
 
