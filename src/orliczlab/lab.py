@@ -46,6 +46,7 @@ of each tag (``{"4n": n * factor, "n": n}``).  Deterministic rows come from
 from __future__ import annotations
 
 import numbers
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,7 +62,14 @@ from .gauges import (
     young_gap,
 )
 from .integrate import build_process, triple_norm_path
-from .paths import PathGrid, hitting_index, quadratic_variation, running_abs_max, simulate_batch
+from .paths import (
+    PathGrid,
+    draw_normals,
+    hitting_index,
+    quadratic_variation,
+    running_abs_max,
+    simulate_batch,
+)
 from .spaces import DiscreteMeasureSpace, luxemburg_of_norms, modular_of_norms
 from .stats import ExperimentResult, McEstimate, RatioReport, RunningMoments
 
@@ -187,15 +195,30 @@ def _views(seed: int, name: str, coords: int, grid: PathGrid, replicates: int, b
     Batch ``i`` draws substream ``(name, "batch", i)`` on ``grid`` and is
     yielded as ``"n"``; with ``factor > 1`` it is yielded as ``"{factor}n"``
     and then as ``"n"``, the same driver coarsened by ``factor``.
+
+    One worker thread draws the normals of batch ``i + 1`` while batch ``i``
+    is processed; Philox substreams are order-free, so the bits are those
+    of drawing in sequence.  The worker only draws: the batch is built on
+    the calling thread, and the fine batch is dropped once its coarse view
+    is yielded.
     """
-    for index, done in enumerate(range(0, replicates, batch)):
-        fine = simulate_batch(seed, (name, "batch", index), coords, grid,
-                              min(batch, replicates - done))
-        if factor == 1:
-            yield "n", fine
-        else:
-            yield f"{factor}n", fine
-            yield "n", fine.coarsened(factor)
+    sizes = [min(batch, replicates - done) for done in range(0, replicates, batch)]
+    draw = lambda i: draw_normals(seed, (name, "batch", i), coords, grid.steps, sizes[i])
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        ahead = pool.submit(draw, 0)
+        try:
+            for index in range(len(sizes)):
+                normals = ahead.result()
+                ahead = pool.submit(draw, index + 1) if index + 1 < len(sizes) else None
+                view = simulate_batch(normals, grid)
+                del normals  # the batch owns the buffer now
+                if factor > 1:
+                    yield f"{factor}n", view
+                    view = view.coarsened(factor)
+                yield "n", view
+        finally:
+            if ahead is not None and not ahead.cancel():
+                ahead.exception()  # the consumer stopped early: wait for the draw in flight
 
 
 class _Tally:
@@ -245,6 +268,18 @@ def _take_at(paths_like: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """Value of per-replicate paths (reps, n+1, ...) at per-replicate indices."""
     rows = np.arange(paths_like.shape[0])
     return paths_like[rows, idx]
+
+
+def _max_to_hit(values: np.ndarray, tau: np.ndarray, hit: np.ndarray) -> np.ndarray:
+    """max of ``values`` (reps, n+1) over [0, tau], for ``tau, hit`` from a
+    weak ``hitting_index`` of ``values``: at a hit every earlier value is
+    below the level, so the maximum is the value at tau; a row that never
+    hits has tau = n and its row maximum."""
+    out = _take_at(values, tau)
+    miss = ~hit
+    if miss.any():
+        out[miss] = values[miss].max(axis=1)
+    return out
 
 
 def _exact_row(label, lhs, rhs, bound, grid_n, extras=None) -> RatioReport:
@@ -399,8 +434,8 @@ def run_good_lambda(cfg) -> ExperimentResult:
     steps = {"4n": n * factor, "n": n}
     for tag, b in _views(cfg.seed, "good_lambda", 1, fine_grid, replicates, 2048, factor):
         absb = np.abs(b.paths[:, 0, :])
-        tau, _ = hitting_index(absb, params["exit_level"])  # sentinel = horizon cap
-        x = _take_at(np.maximum.accumulate(absb, axis=1), tau)
+        tau, hit = hitting_index(absb, params["exit_level"])  # sentinel = horizon cap
+        x = _max_to_hit(absb, tau, hit)
         y = np.sqrt(tau * b.grid.dt)
         for line in (1, 2):
             big, small = (x, y) if line == 1 else (y, x)
@@ -446,12 +481,12 @@ def run_bdg_scalar(cfg) -> ExperimentResult:
 
     tally = _Tally()
     for _, b in _views(cfg.seed, "bdg_scalar", 1, grid, replicates, 2048):
-        sup_sq = running_abs_max(b.paths[:, 0, :])[:, -1] ** 2
+        sup_sq = np.abs(b.paths[:, 0, :]).max(axis=1) ** 2
         qv = quadratic_variation(b.increments[:, 0, :])[:, -1]
         tally.add("bm", sup_sq, qv, 4.0, 1.0)
         realized = sign_spec.realize(b.paths, b.grid, space1)
         m2 = realized.integral(b.increments)[:, :, 0]
-        tally.add("sign_integral", running_abs_max(m2)[:, -1] ** 2, realized.eta()[:, -1, 0],
+        tally.add("sign_integral", np.abs(m2).max(axis=1) ** 2, realized.eta()[:, -1, 0],
                   4.0, 1.0)
 
     reports = []
@@ -494,7 +529,7 @@ def run_doob_orlicz(cfg) -> ExperimentResult:
     violations = 0
     for tag, b in _views(cfg.seed, "doob_orlicz", 1, fine_grid, replicates, 2048, factor):
         terminal = np.abs(b.paths[:, 0, -1])
-        supremum = running_abs_max(b.paths[:, 0, :])[:, -1]
+        supremum = np.abs(b.paths[:, 0, :]).max(axis=1)
         pairs = {
             "identity": (terminal, terminal),
             "dominated": (terminal, supremum),
@@ -584,13 +619,13 @@ def _lenglart_scalar(seed, replicates, n, params):
     sweep_times = (0.5, 1.0, 2.0)
     stability_factor = float(params["stability_factor"])
     c_star = lenglart_constant(2.0, 1.0, 1.0, 2.0)
+    sweep_idx = [grid.index_of(t) for t in sweep_times]
 
     tally = _Tally()
     for _, b in _views(seed, "lenglart_scalar", 1, grid, replicates, 2048):
         path = b.paths[:, 0, :]
         absb = np.abs(path)
-        run_max = np.maximum.accumulate(absb, axis=1)
-        tau, _ = hitting_index(absb, 1.0)
+        tau, hit = hitting_index(absb, 1.0)
         sigma_half = np.minimum(hitting_index(absb, 0.5)[0], tau)
         windows = {
             "zero": np.zeros_like(tau),
@@ -598,7 +633,7 @@ def _lenglart_scalar(seed, replicates, n, params):
             "half-horizon": np.minimum(tau, n // 2),
         }
         b_tau = _take_at(path, tau)
-        star = _take_at(run_max, tau)
+        star = _max_to_hit(absb, tau, hit)
         clock = tau * b.grid.dt
         # E (B_tau - B_sigma)^2 <= ess sup <B> P(sigma < tau)
         for w, sigma in windows.items():
@@ -610,9 +645,9 @@ def _lenglart_scalar(seed, replicates, n, params):
             rhs_s = shrink * (2.0 * star >= lam) + (np.sqrt(clock) > eps * lam)
             tally.add(("tail", k), star >= lam, rhs_s, 1.0)
         tally.add("conclusion", star**2, clock, c_star)
-        for t_stop in sweep_times:
-            idx = grid.index_of(t_stop)
-            tally.add(("sweep", t_stop), run_max[:, idx] ** 2, np.full(b.replicates, t_stop))
+        run_max = running_abs_max(path, sweep_idx)
+        for k, t_stop in enumerate(sweep_times):
+            tally.add(("sweep", t_stop), run_max[:, k] ** 2, np.full(b.replicates, t_stop))
 
     reports = []
     for w in ("zero", "half-exit", "half-horizon"):
@@ -651,6 +686,7 @@ def _lenglart_orlicz(seed, replicates, params):
     spec = build_process({"rule": "two_coord_mix"})
     threshold = float(params["clock_threshold"])
     sweep_times = (0.5, 1.0, 2.0)
+    sweep_idx = [grid.index_of(t) for t in sweep_times]  # the last one is the horizon
     stability_factor = float(params["stability_factor"])
 
     tally = _Tally()
@@ -660,7 +696,7 @@ def _lenglart_orlicz(seed, replicates, params):
         eta = realized.eta()
         clock_path = triple_norm_path(eta, space, gauge)  # increasing majorant
         mod_path = modular_of_norms(np.abs(integral), space.weights, gauge)
-        run_mod = np.maximum.accumulate(mod_path, axis=1)
+        run_mod = running_abs_max(mod_path, sweep_idx)  # the modular is >= 0
         tau = np.full(b.replicates, n_master, dtype=np.int64)
         windows = {
             "half-horizon": np.full(b.replicates, n_master // 2, dtype=np.int64),
@@ -673,9 +709,8 @@ def _lenglart_orlicz(seed, replicates, params):
             clock_diff = ((eta_tau - _take_at(eta, sigma)) @ space.weights)
             tally.add(("hypothesis", w), rho_diff, clock_diff, 1.0)
         tally.add("conclusion", run_mod[:, -1], clock_path[:, -1], 4.0)
-        for t_stop in sweep_times:
-            idx = grid.index_of(t_stop)
-            tally.add(("sweep", t_stop), run_mod[:, idx], clock_path[:, idx], 4.0)
+        for k, (t_stop, idx) in enumerate(zip(sweep_times, sweep_idx)):
+            tally.add(("sweep", t_stop), run_mod[:, k], clock_path[:, idx], 4.0)
 
     reports = [tally.row(f"hypothesis:orlicz:{w}", ("hypothesis", w), 1.0, n_master)
                for w in ("half-horizon", "clock_threshold")]
@@ -704,30 +739,33 @@ def _lenglart_orlicz(seed, replicates, params):
 
 
 def _modular_paths(gauge: GrowthFunction, abs_integral, eta, weights, scales, read):
-    """Per scale c in ``scales``: the running supremum-side modular path, and
-    the clock-side modular at the grid indices ``read``, for scaled
+    """Per scale c in ``scales``: the running supremum of the modular of the
+    integral, and the clock-side modular, each at the ascending grid
+    indices ``read`` (a dict index -> (reps,) values), for scaled
     integrands c X.
 
     For power gauges the scaling is analytic: modular(c f) = c^p modular(f),
     exact in floats for binary c, which realizes the homogeneity-invariance
-    contract; both modulars are evaluated once and scaled per c.  Other
-    gauges are re-evaluated at the scaled arguments.  The clock is evaluated
-    at the read indices only, one (reps, atoms) slice each; the supremum
-    needs the whole path.
+    contract; both modulars are evaluated once and scaled per c, the
+    supremum after its maximum (rounding is monotone, so that commutes).
+    Other gauges are re-evaluated at the scaled arguments.  The clock is
+    evaluated at the read indices only, one (reps, atoms) slice each; the
+    supremum needs the whole path.
     """
     root = {i: np.sqrt(eta[:, i]) for i in read}
     out = {}
     if gauge.family == "power" and float(gauge.params.get("coeff", 1.0)) == 1.0:
-        mod = modular_of_norms(abs_integral, weights, gauge)
+        # the modular is >= 0, so its running max is its running abs max
+        sup = running_abs_max(modular_of_norms(abs_integral, weights, gauge), read)
         clock = {i: modular_of_norms(r, weights, gauge) for i, r in root.items()}
         for c in scales:
             scale = float(c) ** float(gauge.params["p"])
-            out[c] = (np.maximum.accumulate(scale * mod, axis=1),
+            out[c] = ({i: scale * sup[:, k] for k, i in enumerate(read)},
                       {i: scale * v for i, v in clock.items()})
     else:
         for c in scales:
-            mod = modular_of_norms(c * abs_integral, weights, gauge)
-            out[c] = (np.maximum.accumulate(mod, axis=1),
+            sup = running_abs_max(modular_of_norms(c * abs_integral, weights, gauge), read)
+            out[c] = ({i: sup[:, k] for k, i in enumerate(read)},
                       {i: modular_of_norms(c * r, weights, gauge) for i, r in root.items()})
     return out
 
@@ -774,10 +812,9 @@ def run_orlicz_bdg(cfg) -> ExperimentResult:
                 # only a fine reverse row at bound 1 reads the paired difference
                 paired = (1.0,) if tag == "4n" and rev_bounds[gname] == 1.0 else ()
                 for t_stop, c in combos:
-                    run_mod, clock = done[c]
+                    sup, clock = done[c]
                     idx = grid_points[t_stop]
-                    tally.add((spec.rule, gname, tag, t_stop, c), run_mod[:, idx], clock[idx],
-                              *paired)
+                    tally.add((spec.rule, gname, tag, t_stop, c), sup[idx], clock[idx], *paired)
             if tag == "4n" and spec.rule == "two_coord_mix" and not norm_checks:
                 # power-gauge norm path agrees with modular^(1/p), first batch only
                 sample = np.sqrt(eta[: min(32, b.replicates), -1, :])
@@ -794,7 +831,7 @@ def run_orlicz_bdg(cfg) -> ExperimentResult:
             realized = single_spec.realize(b.paths, b.grid, space1)
             integral = realized.integral(b.increments)[:, :, 0]
             idx = grid_points[1.0]
-            sup_sq = np.maximum.accumulate(integral**2, axis=1)[:, idx]
+            sup_sq = running_abs_max(integral, [idx])[:, 0] ** 2  # squaring is monotone in |x|
             tally.add("single", sup_sq, realized.eta()[:, idx, 0], 4.0)
 
     reports = []

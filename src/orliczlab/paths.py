@@ -22,7 +22,7 @@ from ._rng import substream
 __all__ = [
     "PathGrid",
     "BrownianBatch",
-    "simulate_increments",
+    "draw_normals",
     "simulate_batch",
     "coarsen_increments",
     "paths_from_increments",
@@ -61,46 +61,50 @@ class PathGrid:
         return k
 
 
-def simulate_increments(
-    seed: int, stream, coords: int, grid: PathGrid, replicates: int
-) -> np.ndarray:
-    """Gaussian increments, shape (replicates, coords, steps).
+def draw_normals(seed: int, stream, coords: int, steps: int, replicates: int) -> np.ndarray:
+    """Standard normals for one driver batch, shape (coords, replicates, steps).
 
     ``stream`` is a label path (tuple) naming the substream; each
-    coordinate draws from its own child stream, so increasing ``coords``
-    extends a bundle without changing existing coordinates.
+    coordinate fills its own (replicates, steps) slab from its own child
+    stream, so increasing ``coords`` extends a bundle without changing
+    existing coordinates.  The draw touches no other state, so it may run
+    on a worker thread while an earlier batch is processed.
     """
     if coords < 1:
         raise ValueError(f"coords must be >= 1, got {coords}")
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
     stream = tuple(stream) if isinstance(stream, (tuple, list)) else (stream,)
-    scale = np.sqrt(grid.dt)
-    out = np.empty((replicates, coords, grid.steps))
+    out = np.empty((coords, replicates, steps))
     for j in range(coords):
-        rng = substream(seed, *stream, "coord", j)
-        out[:, j, :] = rng.standard_normal((replicates, grid.steps))
-    out *= scale
+        substream(seed, *stream, "coord", j).standard_normal(out=out[j])
     return out
 
 
 def paths_from_increments(increments: np.ndarray) -> np.ndarray:
     """Prefix-sum paths with the zero start prepended (last axis grows by 1)."""
     inc = np.asarray(increments, dtype=float)
-    shape = inc.shape[:-1] + (inc.shape[-1] + 1,)
-    out = np.zeros(shape)
+    out = np.empty(inc.shape[:-1] + (inc.shape[-1] + 1,))
+    out[..., 0] = 0.0
     np.cumsum(inc, axis=-1, out=out[..., 1:])
     return out
 
 
 def coarsen_increments(increments: np.ndarray, factor: int) -> np.ndarray:
-    """Sum consecutive groups of ``factor`` increments (shared-driver coarsening)."""
+    """Sum consecutive groups of ``factor`` increments (shared-driver coarsening).
+
+    The strided slices are added in sequence, which is how numpy sums a
+    group of fewer than 8 terms, so the result has the bits of a per-group
+    sum in any memory layout.
+    """
     inc = np.asarray(increments, dtype=float)
     n = inc.shape[-1]
     if n % factor:
         raise ValueError(f"cannot coarsen {n} increments by factor {factor}")
-    shaped = inc.reshape(inc.shape[:-1] + (n // factor, factor))
-    return shaped.sum(axis=-1)
+    out = inc[..., 0::factor].copy() if factor == 1 else inc[..., 0::factor] + inc[..., 1::factor]
+    for k in range(2, factor):
+        out += inc[..., k::factor]
+    return out
 
 
 @dataclass(frozen=True)
@@ -129,11 +133,17 @@ class BrownianBatch:
         )
 
 
-def simulate_batch(
-    seed: int, stream, coords: int, grid: PathGrid, replicates: int
-) -> BrownianBatch:
-    """A batch of driver realizations with per-coordinate substreams."""
-    inc = simulate_increments(seed, stream, coords, grid, replicates)
+def simulate_batch(normals: np.ndarray, grid: PathGrid) -> BrownianBatch:
+    """The driver batch of ``normals`` (coords, reps, steps) from ``draw_normals``.
+
+    The normals are scaled to increments in place; the batch's increments
+    are their (reps, coords, steps) view, so nothing is copied.
+    """
+    if normals.shape[-1] != grid.steps:
+        raise ValueError(f"normals have {normals.shape[-1]} steps, grid has {grid.steps}")
+    normals *= np.sqrt(grid.dt)
+    inc = normals.transpose(1, 0, 2)
+    coords, replicates = normals.shape[:2]
     return BrownianBatch(
         grid=grid,
         coords=coords,
@@ -147,9 +157,21 @@ def simulate_batch(
 # path functionals
 
 
-def running_abs_max(paths: np.ndarray) -> np.ndarray:
-    """Running supremum of |path| along the last axis."""
-    return np.maximum.accumulate(np.abs(paths), axis=-1)
+def running_abs_max(values: np.ndarray, read) -> np.ndarray:
+    """Running supremum of |values| along the last axis, at the ascending
+    indices ``read`` only: shape (..., len(read)).
+
+    Column k is the maximum of |values| over [0, read[k]], taken segment by
+    segment; a maximum is exact, so it has the bits of the full running
+    maximum read there.
+    """
+    out = np.empty(values.shape[:-1] + (len(read),))
+    start = 0
+    for k, i in enumerate(read):
+        seg = np.abs(values[..., start : i + 1]).max(axis=-1)
+        out[..., k] = seg if k == 0 else np.maximum(out[..., k - 1], seg)
+        start = i + 1
+    return out
 
 
 def quadratic_variation(increments: np.ndarray) -> np.ndarray:

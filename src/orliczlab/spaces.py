@@ -177,6 +177,14 @@ def verify_norm_relations(
     # vecdot reduces each row as np.dot does one vector, bit for bit
     modulars = lambda v: np.vecdot(gauge(atom_norms(v)), space.weights)
     norms = luxemburg_of_norms(atom_norms(values), space.weights, gauge)
+    zero = np.flatnonzero(norms == 0.0)
+    if zero.size:
+        # the gauge saturates below modular 1 on this space: no scale of f
+        # reaches the unit sphere, so the relations have nothing to measure
+        raise BracketError(
+            f"norm relations: nonzero sample {zero[0]} has Luxemburg norm 0 under"
+            f" {gauge.label} on weights {space.weights.tolist()}"
+        )
     sum_norms = luxemburg_of_norms(atom_norms(values[:-1] + values[1:]), space.weights, gauge)
     mods = modulars(values)
 

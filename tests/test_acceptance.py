@@ -22,7 +22,7 @@ from orliczlab.cli import main as cli_main
 from orliczlab.config import ExperimentConfig
 from orliczlab.integrate import build_process, coarsen_samples
 from orliczlab.lab import run_experiment
-from orliczlab.paths import PathGrid, simulate_batch
+from orliczlab.paths import PathGrid, draw_normals, simulate_batch
 from orliczlab.spaces import DiscreteMeasureSpace, luxemburg_of_norms
 
 pytestmark = pytest.mark.slow
@@ -173,7 +173,7 @@ def test_driver_engine_moments():
     index = 0
     while done < total:
         size = min(2048, total - done)
-        b = simulate_batch(20260825, ("engine", index), 1, grid, size)
+        b = simulate_batch(draw_normals(20260825, ("engine", index), 1, grid.steps, size), grid)
         path = b.paths[:, 0, :]
         m_bt.add(path[:, -1])
         m_bt2.add(path[:, -1] ** 2)
@@ -322,7 +322,7 @@ def test_block_average_projection():
             failures.append(f"{tag}: error not reduced by refinement")
 
     space = DiscreteMeasureSpace([1.0, 0.5])
-    batch = simulate_batch(17, ("jm",), 2, grid, 64)
+    batch = simulate_batch(draw_normals(17, ("jm",), 2, grid.steps, 64), grid)
     for rule in ("constant_e1", "sign_of_B1", "B1_times_e1", "two_coord_mix"):
         inner = {"rule": rule} if rule != "sign_of_B1" else {"rule": rule, "blocks": 16}
         spec = build_process({"rule": "coarsen_m", "m": 8, "inner": inner})

@@ -163,10 +163,9 @@ def test_cli_list_verbs():
 
 def test_cli_run_passes_and_writes_csv(tmp_path):
     config = tmp_path / "cfg.yaml"
-    yaml.safe_dump(
-        {"experiment": "bdg_scalar", "replicates": 500, "grid_n": 64},
-        config.open("w"),
-    )
+    config.write_text(yaml.safe_dump(
+        {"experiment": "bdg_scalar", "replicates": 500, "grid_n": 64}
+    ))
     out = tmp_path / "out"
     runner = CliRunner()
     res = runner.invoke(main, ["run", str(config), "--out", str(out)])
@@ -177,10 +176,9 @@ def test_cli_run_passes_and_writes_csv(tmp_path):
 
 def test_cli_run_exit_one_on_failed_row(tmp_path):
     config = tmp_path / "cfg.yaml"
-    yaml.safe_dump(
-        {"experiment": "moment_constant", "params": {"orders": [4.0]}},
-        config.open("w"),
-    )
+    config.write_text(yaml.safe_dump(
+        {"experiment": "moment_constant", "params": {"orders": [4.0]}}
+    ))
     runner = CliRunner()
     res = runner.invoke(main, ["run", str(config), "--out", str(tmp_path / "out")])
     assert res.exit_code == 1
@@ -188,10 +186,7 @@ def test_cli_run_exit_one_on_failed_row(tmp_path):
 
 def test_cli_out_env_override(tmp_path, monkeypatch):
     config = tmp_path / "cfg.yaml"
-    yaml.safe_dump(
-        {"experiment": "moment_constant"},
-        config.open("w"),
-    )
+    config.write_text(yaml.safe_dump({"experiment": "moment_constant"}))
     target = tmp_path / "from-env"
     monkeypatch.setenv("ORLICZLAB_OUT", str(target))
     runner = CliRunner()
@@ -202,7 +197,7 @@ def test_cli_out_env_override(tmp_path, monkeypatch):
 
 def test_cli_flag_beats_env(tmp_path, monkeypatch):
     config = tmp_path / "cfg.yaml"
-    yaml.safe_dump({"experiment": "moment_constant"}, config.open("w"))
+    config.write_text(yaml.safe_dump({"experiment": "moment_constant"}))
     monkeypatch.setenv("ORLICZLAB_OUT", str(tmp_path / "ignored"))
     out = tmp_path / "explicit"
     runner = CliRunner()
@@ -214,10 +209,9 @@ def test_cli_flag_beats_env(tmp_path, monkeypatch):
 
 def test_cli_bad_config_reports_field(tmp_path):
     config = tmp_path / "cfg.yaml"
-    yaml.safe_dump(
-        {"experiment": "young", "params": {"extra_gauges": [{"family": "powr", "p": 2}]}},
-        config.open("w"),
-    )
+    config.write_text(yaml.safe_dump(
+        {"experiment": "young", "params": {"extra_gauges": [{"family": "powr", "p": 2}]}}
+    ))
     runner = CliRunner()
     res = runner.invoke(main, ["run", str(config), "--out", str(tmp_path / "o")])
     assert res.exit_code != 0

@@ -16,7 +16,7 @@ from orliczlab.integrate import (
     make_elementary,
     triple_norm_path,
 )
-from orliczlab.paths import PathGrid, hitting_index, simulate_batch
+from orliczlab.paths import PathGrid, draw_normals, hitting_index, simulate_batch
 from orliczlab.spaces import DiscreteMeasureSpace
 
 SPACE2 = DiscreteMeasureSpace([1.0, 2.0])
@@ -24,8 +24,7 @@ SPACE1 = DiscreteMeasureSpace([1.0])
 
 
 def small_bundle(coords=1, n=64, reps=50, seed=7, stream=("itest",)):
-    return simulate_batch(seed=seed, stream=stream, coords=coords,
-                          grid=PathGrid(horizon=1.0, steps=n), replicates=reps)
+    return simulate_batch(draw_normals(seed, stream, coords, n, reps), PathGrid(1.0, n))
 
 
 class TestExactIdentities:

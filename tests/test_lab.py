@@ -1,11 +1,14 @@
 """Tests for the experiment lab: constants, quasi-metrics, experiment runs."""
 
+import sys
+import threading
 from fnmatch import fnmatch
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from orliczlab import lab
 from orliczlab._rng import substream
 from orliczlab.config import ExperimentConfig
 from orliczlab.gauges import get_gauge
@@ -13,13 +16,17 @@ from orliczlab.lab import (
     EXPERIMENTS,
     LabError,
     QuasiMetric,
+    _max_to_hit,
+    _modular_paths,
+    _views,
     derive_moment_constant,
     experiment_defaults,
     good_lambda_bound,
     lenglart_constant,
     run_experiment,
 )
-from orliczlab.spaces import DiscreteMeasureSpace
+from orliczlab.paths import PathGrid, draw_normals, hitting_index, simulate_batch
+from orliczlab.spaces import DiscreteMeasureSpace, modular_of_norms
 
 
 def small(name, replicates=2000, grid_n=128, **params):
@@ -411,3 +418,103 @@ def test_degenerate_rows_pass_without_division():
     row = RatioReport("empty", McEstimate.exact(0.0), McEstimate.exact(0.0), 0.5, 64)
     assert row.degenerate and row.passed
     assert np.isnan(row.ratio)
+
+
+# ---------------------------------------------------------------------------
+# batch loop and read-point maxima
+
+
+def test_max_to_hit_matches_running_max_at_tau_bitwise():
+    level = 1.0
+    rng = substream(8, "max-to-hit")
+    values = np.abs(rng.standard_normal((6, 40)).cumsum(axis=1) * 0.3)
+    values[0] = 0.5 * level  # never hits: the row maximum
+    values[1, 0] = 2.0 * level  # tau = 0
+    values[2, :7] = np.minimum(values[2, :7], 0.5 * level)
+    values[2, 7] = level  # exactly at the level: a weak hit
+    tau, hit = hitting_index(values, level)
+    assert not hit[0] and tau[1] == 0 and tau[2] == 7
+    ref = np.maximum.accumulate(values, axis=1)[np.arange(6), tau]
+    assert np.array_equal(_max_to_hit(values, tau, hit), ref)
+
+
+@pytest.mark.parametrize("gname", ["power_2", "lambda_2"])
+def test_modular_paths_read_the_running_max_bitwise(gname):
+    gauge = get_gauge(gname)
+    weights = np.array([1.0, 2.0])
+    rng = substream(4, "modular-paths")
+    abs_integral = np.abs(rng.standard_normal((5, 17, 2)).cumsum(axis=1))
+    eta = np.cumsum(rng.uniform(size=(5, 17, 2)), axis=1)
+    read = [4, 8, 16]
+    out = _modular_paths(gauge, abs_integral, eta, weights, (0.5, 1.0, 2.0), read)
+    for c, (sup, clock) in out.items():
+        full = np.maximum.accumulate(modular_of_norms(c * abs_integral, weights, gauge), axis=1)
+        if gname == "power_2":
+            # the scale c^p is applied to the maximum, not to the path
+            mod = modular_of_norms(abs_integral, weights, gauge)
+            assert np.array_equal(full, np.maximum.accumulate(c**2 * mod, axis=1))
+        for i in read:
+            assert np.array_equal(sup[i], full[:, i])
+            assert np.array_equal(clock[i], modular_of_norms(c * np.sqrt(eta[:, i]), weights,
+                                                             gauge))
+
+
+@pytest.mark.parametrize("coords", [1, 2])
+@pytest.mark.parametrize("factor", [1, 4])
+def test_views_match_sequential_batches_bitwise(coords, factor):
+    grid = PathGrid(1.0, 32)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the draw-ahead thread with the consumer often
+    try:
+        got = list(_views(6, "views", coords, grid, 23, 10, factor))  # batches 10, 10, 3
+    finally:
+        sys.setswitchinterval(interval)
+    ref = []
+    for index, size in enumerate((10, 10, 3)):
+        b = simulate_batch(draw_normals(6, ("views", "batch", index), coords, 32, size), grid)
+        ref += [("n", b)] if factor == 1 else [("4n", b), ("n", b.coarsened(4))]
+    assert [tag for tag, _ in got] == [tag for tag, _ in ref]
+    for (_, b), (_, r) in zip(got, ref):
+        assert b.replicates == r.replicates and b.grid == r.grid
+        assert np.array_equal(b.increments, r.increments)
+        assert np.array_equal(b.paths, r.paths)
+
+
+def _extra_threads_joined(baseline, timeout=5.0) -> int:
+    """Join the threads started since ``baseline``; the count still alive."""
+    started = set(threading.enumerate()) - baseline
+    for t in started:
+        t.join(timeout)
+    assert not any(t.is_alive() for t in started)
+    return threading.active_count() - len(baseline)
+
+
+def test_views_leave_no_thread_behind():
+    grid = PathGrid(1.0, 16)
+    baseline = set(threading.enumerate())
+    views = _views(1, "threads", 1, grid, 50, 10)
+    next(views)
+    views.close()  # early close while the next draw is in flight
+    assert _extra_threads_joined(baseline) == 0
+    with pytest.raises(RuntimeError, match="consumer"):
+        for _ in _views(1, "threads", 2, grid, 50, 10, 4):
+            raise RuntimeError("consumer")
+    assert _extra_threads_joined(baseline) == 0
+    assert len(list(_views(1, "threads", 1, grid, 50, 10))) == 5
+    assert _extra_threads_joined(baseline) == 0
+
+
+def test_views_raise_a_draw_error(monkeypatch):
+    def failing(seed, stream, *args):
+        if stream[-1] == 2:
+            raise FloatingPointError("draw failed")
+        return draw_normals(seed, stream, *args)
+
+    monkeypatch.setattr(lab, "draw_normals", failing)
+    baseline = set(threading.enumerate())
+    seen = []
+    with pytest.raises(FloatingPointError, match="draw failed"):
+        for _, b in _views(1, "threads", 1, PathGrid(1.0, 16), 50, 10):
+            seen.append(b.replicates)
+    assert seen == [10, 10]  # batches 0 and 1, then the error of batch 2
+    assert _extra_threads_joined(baseline) == 0

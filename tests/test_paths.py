@@ -5,12 +5,19 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from orliczlab import paths as P
+from orliczlab._rng import substream
 
 
 def one_path(seed, coords, grid, stream=("bundle",)):
     """Increments (coords, steps) and paths (coords, steps + 1) of one replicate."""
-    batch = P.simulate_batch(seed, stream, coords, grid, 1)
+    batch = P.simulate_batch(P.draw_normals(seed, stream, coords, grid.steps, 1), grid)
     return batch.increments[0], batch.paths[0]
+
+
+def increments(seed, stream, coords, grid, replicates):
+    """Increments (replicates, coords, steps) of one batch."""
+    return P.simulate_batch(P.draw_normals(seed, stream, coords, grid.steps, replicates),
+                            grid).increments
 
 
 def test_grid_basics():
@@ -52,7 +59,7 @@ def test_paths_start_at_zero_and_cumulate():
 
 def test_marginal_statistics():
     grid = P.PathGrid(1.0, 256)
-    inc = P.simulate_increments(2024, ("module-test",), 1, grid, replicates=20_000)
+    inc = increments(2024, ("module-test",), 1, grid, 20_000)
     terminal = inc.sum(axis=-1)[:, 0]
     n = terminal.size
     se_mean = terminal.std(ddof=1) / math.sqrt(n)
@@ -64,7 +71,7 @@ def test_marginal_statistics():
 
 def test_quadratic_variation_statistics():
     grid = P.PathGrid(1.0, 512)
-    inc = P.simulate_increments(99, ("qv",), 1, grid, replicates=5_000)
+    inc = increments(99, ("qv",), 1, grid, 5_000)
     qv = P.quadratic_variation(inc[:, 0, :])[:, -1]
     se = qv.std(ddof=1) / math.sqrt(qv.size)
     assert abs(qv.mean() - 1.0) <= 3.0 * se
@@ -73,7 +80,7 @@ def test_quadratic_variation_statistics():
 def test_expected_running_max_reflection_value():
     # E sup_{[0,1]} B = sqrt(2/pi), with a small grid-bias allowance
     grid = P.PathGrid(1.0, 1024)
-    inc = P.simulate_increments(31415, ("max",), 1, grid, replicates=20_000)
+    inc = increments(31415, ("max",), 1, grid, 20_000)
     paths = P.paths_from_increments(inc[:, 0, :])
     peak = paths.max(axis=-1)
     se = peak.std(ddof=1) / math.sqrt(peak.size)
@@ -83,7 +90,7 @@ def test_expected_running_max_reflection_value():
 def test_path_functionals_shapes_and_values():
     grid = P.PathGrid(1.0, 8)
     inc, paths = one_path(11, 2, grid)
-    running, qv = P.running_abs_max(paths), P.quadratic_variation(inc)
+    running, qv = P.running_abs_max(paths, range(9)), P.quadratic_variation(inc)
     assert running.shape == (2, 9)
     assert paths[..., -1].shape == (2,)
     assert qv.shape == (2, 9)
@@ -112,7 +119,7 @@ def test_refinement_never_delays_hitting():
     # shared driver: the coarse path is the fine path at even indices, so
     # a weak upcrossing can only be detected earlier on the fine grid
     fine_grid = P.PathGrid(1.0, 512)
-    inc = P.simulate_increments(777, ("refine",), 1, fine_grid, replicates=500)[:, 0, :]
+    inc = increments(777, ("refine",), 1, fine_grid, 500)[:, 0, :]
     fine_paths = P.paths_from_increments(inc)
     coarse_paths = P.paths_from_increments(P.coarsen_increments(inc, 2))
     level = 0.4
@@ -131,7 +138,7 @@ def test_coarsen_increments_requires_divisibility():
 
 def test_batch_matches_single_bundle_and_coarsens():
     grid = P.PathGrid(1.0, 64)
-    batch = P.simulate_batch(55, ("batch",), coords=2, grid=grid, replicates=8)
+    batch = P.simulate_batch(P.draw_normals(55, ("batch",), 2, grid.steps, 8), grid)
     assert batch.increments.shape == (8, 2, 64)
     assert batch.paths.shape == (8, 2, 65)
     assert np.all(batch.paths[:, :, 0] == 0.0)
@@ -140,3 +147,42 @@ def test_batch_matches_single_bundle_and_coarsens():
     coarse = batch.coarsened(4)
     assert coarse.grid.steps == 16
     assert np.array_equal(coarse.paths[:, :, 1], batch.paths[:, :, 4])
+
+
+def test_draw_normals_fill_the_per_coordinate_draws():
+    # each coordinate's slab holds its substream's (replicates, steps) draw;
+    # the batch scales it in place and views it as (replicates, coords, steps)
+    grid = P.PathGrid(2.0, 48)
+    normals = P.draw_normals(9, ("fill",), 3, grid.steps, 5)
+    assert normals.shape == (3, 5, 48)
+    for j in range(3):
+        ref = substream(9, "fill", "coord", j).standard_normal((5, 48))
+        assert np.array_equal(normals[j], ref)
+    ref = normals.transpose(1, 0, 2) * np.sqrt(grid.dt)
+    batch = P.simulate_batch(normals, grid)
+    assert np.array_equal(batch.increments, ref)
+    full = np.zeros((5, 3, 49))
+    np.cumsum(ref, axis=-1, out=full[..., 1:])
+    assert np.array_equal(batch.paths, full)
+
+
+@pytest.mark.parametrize("coords", [1, 2])
+@pytest.mark.parametrize("factor", [2, 4])
+def test_strided_coarsening_matches_group_sums_bitwise(coords, factor):
+    grid = P.PathGrid(1.0, 64)
+    inc = P.simulate_batch(P.draw_normals(3, ("coarse",), coords, 64, 17), grid).increments
+    assert inc.strides[1] == 17 * 64 * inc.itemsize  # coordinates are (reps, steps) slabs
+    for layout in (inc, np.ascontiguousarray(inc)):
+        ref = layout.reshape(layout.shape[:-1] + (64 // factor, factor)).sum(axis=-1)
+        assert np.array_equal(P.coarsen_increments(layout, factor), ref)
+
+
+def test_running_abs_max_at_read_points_matches_accumulate_bitwise():
+    rng = substream(5, "read-max")
+    values = rng.standard_normal((2, 7, 33)).cumsum(axis=-1)
+    values[0, 0, 5:] = 0.0  # flat rows and ties
+    full = np.maximum.accumulate(np.abs(values), axis=-1)
+    for read in ([32], [0], [0, 1, 2], [3, 10, 11, 32], list(range(33))):
+        got = P.running_abs_max(values, read)
+        assert got.shape == (2, 7, len(read))
+        assert np.array_equal(got, full[..., read])

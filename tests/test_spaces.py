@@ -284,3 +284,11 @@ def test_alpha_star_power2_closed_form(space4):
     report = S.verify_norm_relations(space4, G.make_gauge("power", p=2.0), n_samples=8, seed=1)
     assert report.alpha_star == pytest.approx(2.0 * 2.0**0.5, rel=2e-2)
     assert report.alpha_star >= 2.0 * 2.0**0.5 - 1e-12
+
+
+def test_norm_relations_reject_a_zero_norm():
+    # lambda_0 saturates below modular 1 on a space of mass 1/2: every
+    # nonzero sample has Luxemburg norm 0, which must fail by name
+    space = S.DiscreteMeasureSpace([0.25, 0.25])
+    with pytest.raises(G.BracketError, match="nonzero sample 0 has Luxemburg norm 0"):
+        S.verify_norm_relations(space, G.get_gauge("lambda_0"))
