@@ -31,23 +31,34 @@ Resolve sizes and params with ``_resolve``: every param key it reads has a
 default in ``experiment_defaults``.  ``run_experiment`` rejects any other
 key, a value that is not a number (or a list of numbers) where the
 default is one, and a ``replicates`` or ``grid_n`` whose default is 0.
-Loop once over ``_views(seed, name, coords, grid, replicates, batch,
-factor)``, which yields ``(tag, batch)`` per driver batch; with
-``factor=4`` each batch comes as ``"4n"`` on the fine grid, then as ``"n"``
-coarsened.  In the loop, feed both sides of each inequality to one
-``_Tally`` with ``add(key, lhs, rhs, *bounds)``, listing the bounds whose
-rows should carry the paired slack.  After the loop, build the rows with
-``_Tally.row`` (``reverse=True`` checks rhs against lhs), at the grid steps
-of each tag (``{"4n": n * factor, "n": n}``).  Deterministic rows come from
-``_exact_row`` and its forms ``_stability_rows``, ``_spread_row`` and
-``_scaling_row``.
+
+An experiment is a kernel plus a finalize step.  The kernel,
+``kernel(tag, b)``, sees one tile of driver replicates ``b`` (a
+``BrownianBatch``) and yields ``(key, (lhs, rhs, *bounds))``: both sides of
+an inequality as per-replicate arrays, on shared replicates, and the bounds
+whose rows should carry the paired slack.  Every key carries ``tag`` when
+the experiment runs on two grids.  A kernel must treat each replicate on
+its own (prefix sums, maxima, hitting times and modulars run along time or
+atoms, never across replicates), so its outputs do not depend on how the
+rows are cut into tiles.
+
+``_execute(seed, name, coords, grid, replicates, batch, kernel, factor)``
+owns the rest: it draws the driver per tile on a worker thread, two tiles
+ahead; it runs the kernel on each tile, as ``"4n"`` on the grid refined by
+``factor = 4`` and then as ``"n"`` coarsened back to ``grid``; and it feeds
+a ``_Tally`` once per batch, the tiles' outputs concatenated in tile order.
+Finalize then builds the rows from the returned tally with ``_Tally.row``
+(``reverse=True`` checks rhs against lhs) at ``tally.steps[tag]``.
+Deterministic rows come from ``_exact_row`` and its forms
+``_stability_rows``, ``_spread_row`` and ``_scaling_row``.
 """
 
 from __future__ import annotations
 
 import numbers
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 
@@ -64,7 +75,7 @@ from .gauges import (
 from .integrate import build_process, triple_norm_path
 from .paths import (
     PathGrid,
-    draw_normals,
+    draw_tiles,
     hitting_index,
     quadratic_variation,
     running_abs_max,
@@ -188,44 +199,78 @@ def _resolve(cfg):
     )
 
 
-def _views(seed: int, name: str, coords: int, grid: PathGrid, replicates: int, batch: int,
-           factor: int = 1):
-    """Driver batches as ``(tag, batch)`` in batch-index order.
+# Bytes of normals per tile: a tile's paths and the kernel's arrays on them
+# stay a few MiB each, whatever the batch size.
+_TILE_BYTES = 8 << 20
 
-    Batch ``i`` draws substream ``(name, "batch", i)`` on ``grid`` and is
-    yielded as ``"n"``; with ``factor > 1`` it is yielded as ``"{factor}n"``
-    and then as ``"n"``, the same driver coarsened by ``factor``.
 
-    One worker thread draws the normals of batch ``i + 1`` while batch ``i``
-    is processed; Philox substreams are order-free, so the bits are those
-    of drawing in sequence.  The worker only draws: the batch is built on
-    the calling thread, and the fine batch is dropped once its coarse view
-    is yielded.
+def _tile_rows(size: int, row_bytes: int) -> list:
+    """Rows per tile of a ``size``-row batch: as many as ``_TILE_BYTES``
+    holds, at least 2.  A 1-row remainder joins the tile before it: numpy
+    takes a (1, atoms) @ weights product down its dot path, whose bits
+    differ from the gemv of more rows."""
+    rows = max(2, _TILE_BYTES // row_bytes)
+    tiles = [min(rows, size - done) for done in range(0, size, rows)]
+    if len(tiles) > 1 and tiles[-1] == 1:
+        tiles[-2:] = [tiles[-2] + 1]
+    return tiles
+
+
+def _execute(seed: int, name: str, coords: int, grid: PathGrid, replicates: int, batch: int,
+             kernel, factor: int = 1) -> "_Tally":
+    """Run ``kernel`` over every driver tile and tally its outputs per batch.
+
+    Batch ``i`` draws substream ``(name, "batch", i)`` on ``grid`` refined by
+    ``factor``, in row tiles (``_tile_rows``).  Each tile goes to
+    ``kernel("n", tile)``; with ``factor > 1`` to ``kernel(f"{factor}n",
+    tile)`` and then to ``kernel("n", coarse)``, the same driver on
+    ``grid``.  A kernel yields ``(key, (lhs, rhs, *bounds))`` pairs with
+    per-replicate ``lhs`` and ``rhs``, each key once per tile.  Once per
+    batch, each key's arrays are concatenated in tile order and added as
+    ``tally.add(key, lhs, rhs, *bounds)``, keys in the order first
+    yielded: a batch's sums stay one pairwise sum, whatever its tiles.  The
+    tally's ``steps`` maps each tag to its grid steps.
+
+    One worker thread draws the normals of the next two tiles while a tile
+    is processed: two, so that the draw rarely waits on a slow tile.  A
+    batch's generators continue from tile to tile, so the bits are those of
+    drawing whole batches in sequence.  The worker only draws: tiles are
+    built, and kernels run, on the calling thread.
     """
-    sizes = [min(batch, replicates - done) for done in range(0, replicates, batch)]
-    draw = lambda i: draw_normals(seed, (name, "batch", i), coords, grid.steps, sizes[i])
+    fine = PathGrid(grid.horizon, grid.steps * factor)
+    plan = [_tile_rows(min(batch, replicates - done), coords * fine.steps * 8)
+            for done in range(0, replicates, batch)]
+    normals = (tile for i, rows in enumerate(plan)
+               for tile in draw_tiles(seed, (name, "batch", i), coords, fine.steps, rows))
+    tally = _Tally({"n": grid.steps, f"{factor}n": fine.steps})
     with ThreadPoolExecutor(max_workers=1) as pool:
-        ahead = pool.submit(draw, 0)
+        ahead = [pool.submit(next, normals, None) for _ in range(2)]
         try:
-            for index in range(len(sizes)):
-                normals = ahead.result()
-                ahead = pool.submit(draw, index + 1) if index + 1 < len(sizes) else None
-                view = simulate_batch(normals, grid)
-                del normals  # the batch owns the buffer now
-                if factor > 1:
-                    yield f"{factor}n", view
-                    view = view.coarsened(factor)
-                yield "n", view
+            for rows in plan:
+                parts = {}
+                for _ in rows:
+                    tile, ahead = ahead[0].result(), [*ahead[1:], pool.submit(next, normals, None)]
+                    tile = simulate_batch(tile, fine)
+                    outs = kernel("n", tile) if factor == 1 else chain(
+                        kernel(f"{factor}n", tile), kernel("n", tile.coarsened(factor)))
+                    for key, (lhs, rhs, *bounds) in outs:  # copies: no view keeps a tile alive
+                        parts.setdefault(key, []).append((np.array(lhs), np.array(rhs), *bounds))
+                for key, values in parts.items():
+                    lhs, rhs = (np.concatenate(side) for side in list(zip(*values))[:2])
+                    tally.add(key, lhs, rhs, *values[0][2:])
         finally:
-            if ahead is not None and not ahead.cancel():
-                ahead.exception()  # the consumer stopped early: wait for the draw in flight
+            for draw in ahead:  # drop the draws not begun, wait for the one in flight
+                if not draw.cancel():
+                    draw.exception()
+    return tally
 
 
 class _Tally:
     """Paired moments per key: both sides on shared replicates, plus
     ``lhs - b * rhs`` for each bound ``b`` a row is checked at."""
 
-    def __init__(self) -> None:
+    def __init__(self, steps) -> None:
+        self.steps = steps  # grid steps per tag
         self._sides = {}
         self._diffs = {}
 
@@ -303,16 +348,10 @@ def _spread_row(label, ratios, factor, grid_n, extras=None) -> RatioReport:
 
 def _scaling_row(label, scaled, base, grid_n) -> RatioReport:
     """Bitwise invariance under X -> cX: every ratio in ``scaled``, taken
-    from the scaled sums, must equal the unscaled ``base``."""
+    from the scaled sums, must equal the unscaled ``base``.  The row spans
+    them all with bound 1, so a ratio off either way fails it."""
     exact = all(v == base for v in scaled)
-    return _exact_row(label, max(scaled), base, 1.0, grid_n, {"scaling_exact": exact})
-
-
-def _square_scaled(tally, key) -> list:
-    """The ratio at ``key`` for X -> cX, c = 0.5 and 2: the square gauge
-    multiplies both sums by c^2."""
-    lhs, rhs = tally.sides(key)
-    return [(c**2 * lhs.mean) / (c**2 * rhs.mean) for c in (0.5, 2.0)]
+    return _spread_row(label, [*scaled, base], 1.0, grid_n, {"scaling_exact": exact})
 
 
 # ---------------------------------------------------------------------------
@@ -372,8 +411,6 @@ def run_moment_constant(cfg) -> ExperimentResult:
 def run_isometry(cfg) -> ExperimentResult:
     """E |I_tau|^2 = E eta_tau per (integrand, stopping time, atom, grid)."""
     replicates, n, params = _resolve(cfg)
-    factor = 4
-    fine_grid = PathGrid(params["horizon"], n * factor)
     space = DiscreteMeasureSpace(params["weights"])
     gauge = get_gauge("power_2")
     specs = [
@@ -383,9 +420,7 @@ def run_isometry(cfg) -> ExperimentResult:
         build_process({"rule": "two_coord_mix"}),
     ]
 
-    tally = _Tally()
-    steps = {"4n": n * factor, "n": n}
-    for tag, b in _views(cfg.seed, "isometry", 2, fine_grid, replicates, 2048, factor):
+    def kernel(tag, b):
         first_exit = hitting_index(np.abs(b.paths[:, 0, :]), params["exit_level"])[0]
         for spec in specs:
             realized = spec.realize(b.paths, b.grid, space)
@@ -401,14 +436,16 @@ def run_isometry(cfg) -> ExperimentResult:
                 i_tau = _take_at(integral, tau)
                 eta_tau = _take_at(eta, tau)
                 for a in range(space.n_atoms):
-                    tally.add((spec.rule, stop, a, tag), i_tau[:, a] ** 2, eta_tau[:, a], 1.0)
+                    yield (spec.rule, stop, a, tag), (i_tau[:, a] ** 2, eta_tau[:, a], 1.0)
 
+    tally = _execute(cfg.seed, "isometry", 2, PathGrid(params["horizon"], n), replicates, 2048,
+                     kernel, 4)
     reports = []
     for key in tally.keys():
         rule, stop, a, tag = key
         base = f"{rule}:{stop}:atom{a}@{tag}"
-        reports.append(tally.row(f"isometry-fwd:{base}", key, 1.0, steps[tag]))
-        reports.append(tally.row(f"isometry-rev:{base}", key, 1.0, steps[tag], reverse=True))
+        reports += [tally.row(f"isometry-{d}:{base}", key, 1.0, tally.steps[tag],
+                              reverse=d == "rev") for d in ("fwd", "rev")]
     return ExperimentResult("isometry", n, reports, notes={"replicates": replicates})
 
 
@@ -419,7 +456,6 @@ def run_isometry(cfg) -> ExperimentResult:
 def run_good_lambda(cfg) -> ExperimentResult:
     """Tail domination for (B*_tau, sqrt(tau)), tau = capped first exit."""
     replicates, n, params = _resolve(cfg)
-    factor = 4
     betas = tuple(params["betas"])
     deltas = tuple(params["deltas"])
     for key, values in (("betas", betas), ("deltas", deltas)):
@@ -428,25 +464,26 @@ def run_good_lambda(cfg) -> ExperimentResult:
             # tail rows are keyed by value: a repeat would merge two passes into one row
             raise LabError(f"good_lambda: params.{key} repeats the value {repeated[0]!r}")
     lambdas = np.asarray(params["lambdas"], dtype=float)
-    fine_grid = PathGrid(params["horizon"], n * factor)
 
-    tally = _Tally()
-    steps = {"4n": n * factor, "n": n}
-    for tag, b in _views(cfg.seed, "good_lambda", 1, fine_grid, replicates, 2048, factor):
+    def kernel(tag, b):
         absb = np.abs(b.paths[:, 0, :])
         tau, hit = hitting_index(absb, params["exit_level"])  # sentinel = horizon cap
         x = _max_to_hit(absb, tau, hit)
         y = np.sqrt(tau * b.grid.dt)
         for line in (1, 2):
-            big, small = (x, y) if line == 1 else (y, x)
+            big, small = (x[:, None], y[:, None]) if line == 1 else (y[:, None], x[:, None])
+            over = big > lambdas  # (rows, lambdas), one column per row key
             for beta in betas:
+                high = big > beta * lambdas
                 for delta in deltas:
-                    for k, lam in enumerate(lambdas):
-                        joint = (big > beta * lam) & (small < delta * lam)
-                        tally.add(("tail", tag, line, beta, delta, k), joint, big > lam)
+                    joint = high & (small < delta * lambdas)
+                    for k in range(lambdas.size):
+                        yield ("tail", tag, line, beta, delta, k), (joint[:, k], over[:, k])
         for p in (1, 2):
-            tally.add(("moment", tag, p), x**p, y**p)
+            yield ("moment", tag, p), (x**p, y**p)
 
+    tally = _execute(cfg.seed, "good_lambda", 1, PathGrid(params["horizon"], n), replicates,
+                     2048, kernel, 4)
     c1 = good_lambda_bound(2.0, 0.1, 1)
     c2 = good_lambda_bound(2.0, 0.1, 2)
     reports = []
@@ -455,15 +492,16 @@ def run_good_lambda(cfg) -> ExperimentResult:
             _, tag, line, beta, delta, k = key
             reports.append(tally.row(
                 f"good-lambda-line{line}:beta{beta}:delta{delta}:lam{k}@{tag}", key,
-                good_lambda_bound(beta, delta, line), steps[tag], {"lambda": float(lambdas[k])},
+                good_lambda_bound(beta, delta, line), tally.steps[tag],
+                {"lambda": float(lambdas[k])},
             ))
         else:
             # moment comparisons with the derived constants (beta=2, delta=0.1)
             _, tag, p = key
             reports.append(tally.row(f"moment-p{p}-fwd@{tag}", key,
-                                     derive_moment_constant(2.0, 0.1, p, c1), steps[tag]))
+                                     derive_moment_constant(2.0, 0.1, p, c1), tally.steps[tag]))
             reports.append(tally.row(f"moment-p{p}-rev@{tag}", key,
-                                     derive_moment_constant(2.0, 0.1, p, c2), steps[tag],
+                                     derive_moment_constant(2.0, 0.1, p, c2), tally.steps[tag],
                                      reverse=True))
     return ExperimentResult("good_lambda", n, reports, notes={"replicates": replicates})
 
@@ -475,30 +513,32 @@ def run_good_lambda(cfg) -> ExperimentResult:
 def run_bdg_scalar(cfg) -> ExperimentResult:
     """Doob bracket E sup|M|^2 / E<M> in [1, 4] for the suite martingales."""
     replicates, n, params = _resolve(cfg)
-    grid = PathGrid(params["horizon"], n)
     space1 = DiscreteMeasureSpace([1.0])
     sign_spec = build_process({"rule": "sign_of_B1", "blocks": 16})
 
-    tally = _Tally()
-    for _, b in _views(cfg.seed, "bdg_scalar", 1, grid, replicates, 2048):
-        sup_sq = np.abs(b.paths[:, 0, :]).max(axis=1) ** 2
-        qv = quadratic_variation(b.increments[:, 0, :])[:, -1]
-        tally.add("bm", sup_sq, qv, 4.0, 1.0)
+    def kernel(tag, b):
         realized = sign_spec.realize(b.paths, b.grid, space1)
-        m2 = realized.integral(b.increments)[:, :, 0]
-        tally.add("sign_integral", np.abs(m2).max(axis=1) ** 2, realized.eta()[:, -1, 0],
-                  4.0, 1.0)
+        path, inc = b.paths[:, 0, :], b.increments[:, 0, :]
+        for c, paired in ((1.0, (4.0, 1.0)), (2.0, ())):  # M -> 2M: B -> 2B and X -> 2X
+            if c != 1.0:
+                path, inc = c * path, c * inc
+            yield ("bm", c), (np.abs(path).max(axis=1) ** 2, quadratic_variation(inc)[:, -1],
+                              *paired)
+            scaled = replace(realized, coef=c * realized.coef)
+            sup = np.abs(scaled.integral(b.increments)[:, :, 0]).max(axis=1)
+            yield ("sign_integral", c), (sup**2, scaled.eta()[:, -1, 0], *paired)
 
+    tally = _execute(cfg.seed, "bdg_scalar", 1, PathGrid(params["horizon"], n), replicates,
+                     2048, kernel)
     reports = []
     for d in ("bm", "sign_integral"):
-        lhs, rhs = tally.sides(d)
-        ratio = lhs.mean / rhs.mean
-        # scaling M -> 2M multiplies both estimator sums by 4; the ratio is
-        # reproduced by the same arithmetic and must agree bitwise
-        ratio_scaled = (4.0 * lhs.mean) / (4.0 * rhs.mean)
+        # M -> 2M multiplies both sides by 4, exactly in binary floats, so the
+        # ratio of the scaled run must agree bitwise
+        ratio, ratio_scaled = tally.ratio((d, 1.0)), tally.ratio((d, 2.0))
         extras = {"ratio_scaled_2": ratio_scaled, "scaling_exact": ratio == ratio_scaled}
-        reports.append(tally.row(f"bdg-upper:{d}", d, 4.0, n, extras))
-        reports.append(tally.row(f"bdg-lower:{d}", d, 1.0, n, {"ratio": ratio}, reverse=True))
+        reports.append(tally.row(f"bdg-upper:{d}", (d, 1.0), 4.0, n, extras))
+        reports.append(tally.row(f"bdg-lower:{d}", (d, 1.0), 1.0, n, {"ratio": ratio},
+                                 reverse=True))
     return ExperimentResult("bdg_scalar", n, reports, notes={"replicates": replicates})
 
 
@@ -509,9 +549,7 @@ def run_bdg_scalar(cfg) -> ExperimentResult:
 def run_doob_orlicz(cfg) -> ExperimentResult:
     """Hypothesis audit and conclusion E L(xi) <= C E L(eta) for the pair suite."""
     replicates, n, params = _resolve(cfg)
-    factor = 4
     lambdas = np.asarray(params["lambdas"], dtype=float)
-    fine_grid = PathGrid(params["horizon"], n * factor)
 
     power2 = get_gauge("power_2")
     lambda2 = get_gauge("lambda_2")
@@ -524,37 +562,36 @@ def run_doob_orlicz(cfg) -> ExperimentResult:
     gauges = (("power_2", power2), ("lambda_2", lambda2))
     bounds = {("doob", "power_2"): 4.0}  # the Doob constant; 1 elsewhere
 
-    tally = _Tally()
-    steps = {"4n": n * factor, "n": n}
     violations = 0
-    for tag, b in _views(cfg.seed, "doob_orlicz", 1, fine_grid, replicates, 2048, factor):
+
+    def kernel(tag, b):
+        nonlocal violations
         terminal = np.abs(b.paths[:, 0, -1])
         supremum = np.abs(b.paths[:, 0, :]).max(axis=1)
-        pairs = {
-            "identity": (terminal, terminal),
-            "dominated": (terminal, supremum),
-            "doob": (supremum, terminal),
-        }
+        pairs = {"identity": (terminal, terminal), "dominated": (terminal, supremum),
+                 "doob": (supremum, terminal)}
         for pname, (xi, eta) in pairs.items():
             for k, lam in enumerate(lambdas):
                 on = xi >= lam
                 lhs_s = lam * on
                 rhs_s = eta * on
-                tally.add(("hypothesis", tag, pname, k), lhs_s, rhs_s, 1.0)
+                yield ("hypothesis", tag, pname, k), (lhs_s, rhs_s, 1.0)
                 if pname == "dominated":
                     violations += int(np.count_nonzero(lhs_s > rhs_s))
             for gname, gauge in gauges:
                 # (doob, lambda_2) feeds only the stability rows: no difference is read
                 paired = () if (pname, gname) == ("doob", "lambda_2") else (
                     bounds.get((pname, gname), 1.0),)
-                tally.add(("conclusion", tag, pname, gname), gauge(xi), gauge(eta), *paired)
+                yield ("conclusion", tag, pname, gname), (gauge(xi), gauge(eta), *paired)
 
+    tally = _execute(cfg.seed, "doob_orlicz", 1, PathGrid(params["horizon"], n), replicates,
+                     2048, kernel, 4)
     reports = []
     for key in tally.keys():
         kind, tag, pname, k = key
         if kind == "hypothesis":
-            reports.append(tally.row(f"hypothesis:{pname}:lam{k}@{tag}", key, 1.0, steps[tag],
-                                     {"lambda": float(lambdas[k])}))
+            reports.append(tally.row(f"hypothesis:{pname}:lam{k}@{tag}", key, 1.0,
+                                     tally.steps[tag], {"lambda": float(lambdas[k])}))
     notes = {"dominated_pointwise_violations": violations}
     if violations > 0 or not all(row.passed for row in reports):
         notes["audit_failed"] = True
@@ -565,11 +602,9 @@ def run_doob_orlicz(cfg) -> ExperimentResult:
         # (doob, lambda_2) is handled by the stability rows below
         if kind == "conclusion" and (pname, gname) != ("doob", "lambda_2"):
             reports.append(tally.row(f"conclusion:{pname}:{gname}@{tag}", key,
-                                     bounds.get((pname, gname), 1.0), steps[tag]))
+                                     bounds.get((pname, gname), 1.0), tally.steps[tag]))
     ratios = {tag: tally.ratio(("conclusion", tag, "doob", "lambda_2")) for tag in ("4n", "n")}
-    reports.extend(
-        _stability_rows("stability:doob:lambda_2", ratios["4n"], ratios["n"], 0.10, n)
-    )
+    reports.extend(_stability_rows("stability:doob:lambda_2", ratios["4n"], ratios["n"], 0.10, n))
     notes["doob_lambda2_ratio"] = ratios["4n"]
     return ExperimentResult("doob_orlicz", n, reports, notes)
 
@@ -592,18 +627,13 @@ def run_lenglart(cfg) -> ExperimentResult:
             raise LabError(
                 f"uncertified domination pair {p!r}; certified: {', '.join(CERTIFIED_PAIRS)}"
             )
-    reports = []
-    notes = {}
-    audit_ok = True
-    if "scalar" in pair_list:
-        rs, ns, ok = _lenglart_scalar(cfg.seed, replicates, n, params)
-        reports.extend(rs)
-        notes.update(ns)
-        audit_ok = audit_ok and ok
-    if "orlicz" in pair_list:
-        ro, no, ok = _lenglart_orlicz(cfg.seed, replicates, params)
-        reports.extend(ro)
-        notes.update(no)
+    runs = {"scalar": lambda: _lenglart_scalar(cfg.seed, replicates, n, params),
+            "orlicz": lambda: _lenglart_orlicz(cfg.seed, replicates, params)}
+    reports, notes, audit_ok = [], {}, True
+    for pair in (p for p in CERTIFIED_PAIRS if p in pair_list):
+        rows, pair_notes, ok = runs[pair]()
+        reports.extend(rows)
+        notes.update(pair_notes)
         audit_ok = audit_ok and ok
     if not audit_ok:
         notes["audit_failed"] = True
@@ -621,8 +651,7 @@ def _lenglart_scalar(seed, replicates, n, params):
     c_star = lenglart_constant(2.0, 1.0, 1.0, 2.0)
     sweep_idx = [grid.index_of(t) for t in sweep_times]
 
-    tally = _Tally()
-    for _, b in _views(seed, "lenglart_scalar", 1, grid, replicates, 2048):
+    def kernel(tag, b):
         path = b.paths[:, 0, :]
         absb = np.abs(path)
         tau, hit = hitting_index(absb, 1.0)
@@ -637,18 +666,22 @@ def _lenglart_scalar(seed, replicates, n, params):
         clock = tau * b.grid.dt
         # E (B_tau - B_sigma)^2 <= ess sup <B> P(sigma < tau)
         for w, sigma in windows.items():
-            tally.add(("hypothesis", w), (b_tau - _take_at(path, sigma)) ** 2, sigma < tau)
+            yield ("hypothesis", w), ((b_tau - _take_at(path, sigma)) ** 2, sigma < tau)
         # one-step tail line P(M* >= lam) <= kappa (2 g eps)^q P(2 g M* >= lam)
         #                                     + P(N > eps lam), with g=1, q=2
         shrink = (2.0 * eps) ** 2
         for k, lam in enumerate(lambdas):
             rhs_s = shrink * (2.0 * star >= lam) + (np.sqrt(clock) > eps * lam)
-            tally.add(("tail", k), star >= lam, rhs_s, 1.0)
-        tally.add("conclusion", star**2, clock, c_star)
+            yield ("tail", k), (star >= lam, rhs_s, 1.0)
+        yield "conclusion", (star**2, clock, c_star)
         run_max = running_abs_max(path, sweep_idx)
         for k, t_stop in enumerate(sweep_times):
-            tally.add(("sweep", t_stop), run_max[:, k] ** 2, np.full(b.replicates, t_stop))
+            yield ("sweep", t_stop), (run_max[:, k] ** 2, np.full(b.replicates, t_stop))
+        for c in (0.5, 2.0):  # B -> cB through the T = 1 sweep: <cB>_1 = c^2
+            scaled = running_abs_max(c * path, [sweep_idx[1]])[:, 0] ** 2
+            yield ("scaled", c), (scaled, np.full(b.replicates, c * c))
 
+    tally = _execute(seed, "lenglart_scalar", 1, grid, replicates, 2048, kernel)
     reports = []
     for w in ("zero", "half-exit", "half-horizon"):
         lhs, hit = tally.sides(("hypothesis", w))
@@ -662,14 +695,12 @@ def _lenglart_scalar(seed, replicates, n, params):
 
     reports.append(tally.row("conclusion:scalar:certified", "conclusion", c_star, n,
                              {"constant": c_star}))
-    ratios = {}
-    for t_stop in sweep_times:
-        ratios[t_stop] = tally.ratio(("sweep", t_stop))
-        reports.append(tally.row(f"sweep:scalar:T{t_stop}", ("sweep", t_stop), c_star, n,
-                                 {"ratio": ratios[t_stop]}))
+    ratios = {t: tally.ratio(("sweep", t)) for t in sweep_times}
+    reports += [tally.row(f"sweep:scalar:T{t}", ("sweep", t), c_star, n, {"ratio": r})
+                for t, r in ratios.items()]
     reports.append(_spread_row("sweep:scalar:spread", ratios.values(), stability_factor, n))
-    reports.append(_scaling_row("scaling-exact:scalar", _square_scaled(tally, ("sweep", 1.0)),
-                                ratios[1.0], n))
+    reports.append(_scaling_row("scaling-exact:scalar",
+                                [tally.ratio(("scaled", c)) for c in (0.5, 2.0)], ratios[1.0], n))
     exact = reports[-1].extras["scaling_exact"]
     return reports, {"scalar_ratio": ratios[1.0], "scalar_scaling_exact": exact}, True
 
@@ -689,8 +720,7 @@ def _lenglart_orlicz(seed, replicates, params):
     sweep_idx = [grid.index_of(t) for t in sweep_times]  # the last one is the horizon
     stability_factor = float(params["stability_factor"])
 
-    tally = _Tally()
-    for _, b in _views(seed, "lenglart_orlicz", 2, grid, replicates, 512):
+    def kernel(tag, b):
         realized = spec.realize(b.paths, b.grid, space)
         integral = realized.integral(b.increments)
         eta = realized.eta()
@@ -707,10 +737,12 @@ def _lenglart_orlicz(seed, replicates, params):
         for w, sigma in windows.items():
             rho_diff = rho1.distance(i_tau, _take_at(integral, sigma))
             clock_diff = ((eta_tau - _take_at(eta, sigma)) @ space.weights)
-            tally.add(("hypothesis", w), rho_diff, clock_diff, 1.0)
-        tally.add("conclusion", run_mod[:, -1], clock_path[:, -1], 4.0)
+            yield ("hypothesis", w), (rho_diff, clock_diff, 1.0)
+        yield "conclusion", (run_mod[:, -1], clock_path[:, -1], 4.0)
         for k, (t_stop, idx) in enumerate(zip(sweep_times, sweep_idx)):
-            tally.add(("sweep", t_stop), run_mod[:, k], clock_path[:, idx], 4.0)
+            yield ("sweep", t_stop), (run_mod[:, k], clock_path[:, idx], 4.0)
+
+    tally = _execute(seed, "lenglart_orlicz", 2, grid, replicates, 512, kernel)
 
     reports = [tally.row(f"hypothesis:orlicz:{w}", ("hypothesis", w), 1.0, n_master)
                for w in ("half-horizon", "clock_threshold")]
@@ -721,15 +753,14 @@ def _lenglart_orlicz(seed, replicates, params):
     reports.append(tally.row("conclusion:orlicz:doob", "conclusion", 4.0, n_master))
     reports.append(tally.row("conclusion:orlicz:certified", "conclusion", c_cert, n_master,
                              {"constant": c_cert, "gamma1": rho1.gamma}))
-    ratios = {}
-    for t_stop in sweep_times:
-        row = tally.row(f"sweep:orlicz:T{t_stop}", ("sweep", t_stop), 4.0, n_master)
-        ratios[t_stop] = row.ratio
-        reports.append(row)
+    reports += [tally.row(f"sweep:orlicz:T{t}", ("sweep", t), 4.0, n_master) for t in sweep_times]
+    ratios = {t: row.ratio for t, row in zip(sweep_times, reports[-len(sweep_times):])}
     reports.append(_spread_row("sweep:orlicz:spread", ratios.values(), stability_factor,
                                n_master))
-    reports.append(_scaling_row("scaling-exact:orlicz", _square_scaled(tally, ("sweep", 1.0)),
-                                ratios[1.0], n_master))
+    # the square gauge multiplies both sums by c^2 under X -> cX
+    lhs, rhs = tally.sides(("sweep", 1.0))
+    scaled = [(c**2 * lhs.mean) / (c**2 * rhs.mean) for c in (0.5, 2.0)]
+    reports.append(_scaling_row("scaling-exact:orlicz", scaled, ratios[1.0], n_master))
     exact = reports[-1].extras["scaling_exact"]
     return reports, {"orlicz_ratio": ratios[1.0], "orlicz_scaling_exact": exact}, True
 
@@ -773,9 +804,7 @@ def _modular_paths(gauge: GrowthFunction, abs_integral, eta, weights, scales, re
 def run_orlicz_bdg(cfg) -> ExperimentResult:
     """E Phi(sup_t [I_t]) vs E Phi([sqrt(eta_tau)]) in both directions."""
     replicates, n, params = _resolve(cfg)
-    factor = 4
     horizon = 2.0
-    fine_grid = PathGrid(horizon, n * factor)
     space = DiscreteMeasureSpace(params["weights"])
     space1 = DiscreteMeasureSpace([1.0])
     sweep_times = (0.5, 1.0, 2.0)
@@ -795,10 +824,9 @@ def run_orlicz_bdg(cfg) -> ExperimentResult:
     ]
     single_spec = build_process({"rule": "constant_e1"})
 
-    tally = _Tally()  # (rule, gname, tag, T, c): fine sweeps + coarse base; "single"
-    steps = {"4n": n * factor, "n": n}
-    norm_checks = []
-    for tag, b in _views(cfg.seed, "orlicz_bdg", 2, fine_grid, replicates, 512, factor):
+    sample = []  # the first 32 replicates' terminal norms, for the norm-agreement rows
+
+    def kernel(tag, b):
         grid_points = {t: b.grid.index_of(t) for t in sweep_times}
         combos = [(t, c) for t in sweep_times for c in scales] if tag == "4n" else [(horizon, 1.0)]
         read = sorted({grid_points[t] for t, _ in combos})
@@ -814,26 +842,19 @@ def run_orlicz_bdg(cfg) -> ExperimentResult:
                 for t_stop, c in combos:
                     sup, clock = done[c]
                     idx = grid_points[t_stop]
-                    tally.add((spec.rule, gname, tag, t_stop, c), sup[idx], clock[idx], *paired)
-            if tag == "4n" and spec.rule == "two_coord_mix" and not norm_checks:
-                # power-gauge norm path agrees with modular^(1/p), first batch only
-                sample = np.sqrt(eta[: min(32, b.replicates), -1, :])
-                for gname in ("power_2", "power_1_5"):
-                    g = get_gauge(gname)
-                    p = float(g.params["p"])
-                    lux = luxemburg_of_norms(sample, space.weights, g)
-                    alg = modular_of_norms(sample, space.weights, g) ** (1.0 / p)
-                    rel = np.abs(lux - alg) / np.where(alg > 0, alg, 1.0)
-                    norm_checks.append(_exact_row(f"norm-agreement:{gname}", float(rel.max()),
-                                                  1.0, 1e-6, steps["4n"]))
+                    yield (spec.rule, gname, tag, t_stop, c), (sup[idx], clock[idx], *paired)
+            if tag == "4n" and spec.rule == "two_coord_mix":
+                sample.append(np.sqrt(eta[: 32 - sum(map(len, sample)), -1, :]))
         if tag == "4n":
             # single-atom reduction: X = e1, modular path = B^2, clock = t
             realized = single_spec.realize(b.paths, b.grid, space1)
             integral = realized.integral(b.increments)[:, :, 0]
             idx = grid_points[1.0]
             sup_sq = running_abs_max(integral, [idx])[:, 0] ** 2  # squaring is monotone in |x|
-            tally.add("single", sup_sq, realized.eta()[:, idx, 0], 4.0)
+            yield "single", (sup_sq, realized.eta()[:, idx, 0], 4.0)
 
+    tally = _execute(cfg.seed, "orlicz_bdg", 2, PathGrid(horizon, n), replicates, 512, kernel, 4)
+    steps = tally.steps
     reports = []
     for spec in specs:
         for gname, _ in gauges:
@@ -854,11 +875,8 @@ def run_orlicz_bdg(cfg) -> ExperimentResult:
             reports.append(_spread_row(f"sweep:{spec.rule}:{gname}", ratios.values(),
                                        stability_factor, steps["4n"], {"combos": len(ratios)}))
             r_coarse = tally.ratio((spec.rule, gname, "n", horizon, 1.0))
-            r_fine = ratios[(horizon, 1.0)]
-            reports.extend(
-                _stability_rows(f"stability:{spec.rule}:{gname}", r_fine, r_coarse, 0.15,
-                                steps["n"])
-            )
+            reports.extend(_stability_rows(f"stability:{spec.rule}:{gname}",
+                                           ratios[(horizon, 1.0)], r_coarse, 0.15, steps["n"]))
             if gname == "power_2":
                 # homogeneity: the analytic c-scaling cancels bitwise
                 reports.append(_scaling_row(f"scaling-exact:{spec.rule}",
@@ -866,7 +884,16 @@ def run_orlicz_bdg(cfg) -> ExperimentResult:
                                             ratios[(1.0, 1.0)], steps["4n"]))
     reports.append(tally.row("single-atom-fwd", "single", 4.0, steps["4n"]))
     reports.append(tally.row("single-atom-rev", "single", 1.0, steps["4n"], reverse=True))
-    reports.extend(norm_checks)
+    sample = np.concatenate(sample)
+    for gname in ("power_2", "power_1_5"):
+        # power-gauge norm path agrees with modular^(1/p)
+        g = get_gauge(gname)
+        p = float(g.params["p"])
+        lux = luxemburg_of_norms(sample, space.weights, g)
+        alg = modular_of_norms(sample, space.weights, g) ** (1.0 / p)
+        rel = np.abs(lux - alg) / np.where(alg > 0, alg, 1.0)
+        reports.append(_exact_row(f"norm-agreement:{gname}", float(rel.max()), 1.0, 1e-6,
+                                  steps["4n"]))
     return ExperimentResult("orlicz_bdg", n, reports, notes={"replicates": replicates})
 
 

@@ -23,6 +23,7 @@ __all__ = [
     "PathGrid",
     "BrownianBatch",
     "draw_normals",
+    "draw_tiles",
     "simulate_batch",
     "coarsen_increments",
     "paths_from_increments",
@@ -67,18 +68,31 @@ def draw_normals(seed: int, stream, coords: int, steps: int, replicates: int) ->
     ``stream`` is a label path (tuple) naming the substream; each
     coordinate fills its own (replicates, steps) slab from its own child
     stream, so increasing ``coords`` extends a bundle without changing
-    existing coordinates.  The draw touches no other state, so it may run
-    on a worker thread while an earlier batch is processed.
+    existing coordinates.
+    """
+    return next(draw_tiles(seed, stream, coords, steps, [replicates]))
+
+
+def draw_tiles(seed: int, stream, coords: int, steps: int, rows):
+    """The normals of ``draw_normals(seed, stream, coords, steps, sum(rows))``
+    in row tiles: tile t is (coords, rows[t], steps), the next rows[t] rows.
+
+    Each coordinate's generator continues its stream from tile to tile, so
+    the tiles hold the bits of the single draw.  A tile is drawn only when
+    it is asked for, and the draw touches no other state, so it may run on
+    a worker thread while an earlier tile is processed.
     """
     if coords < 1:
         raise ValueError(f"coords must be >= 1, got {coords}")
-    if replicates < 1:
-        raise ValueError(f"replicates must be >= 1, got {replicates}")
+    if min(rows) < 1:
+        raise ValueError(f"replicates must be >= 1, got {min(rows)}")
     stream = tuple(stream) if isinstance(stream, (tuple, list)) else (stream,)
-    out = np.empty((coords, replicates, steps))
-    for j in range(coords):
-        substream(seed, *stream, "coord", j).standard_normal(out=out[j])
-    return out
+    gens = [substream(seed, *stream, "coord", j) for j in range(coords)]
+    for r in rows:
+        out = np.empty((coords, r, steps))
+        for j, gen in enumerate(gens):
+            gen.standard_normal(out=out[j])
+        yield out
 
 
 def paths_from_increments(increments: np.ndarray) -> np.ndarray:

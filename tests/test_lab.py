@@ -18,14 +18,14 @@ from orliczlab.lab import (
     QuasiMetric,
     _max_to_hit,
     _modular_paths,
-    _views,
+    _execute,
     derive_moment_constant,
     experiment_defaults,
     good_lambda_bound,
     lenglart_constant,
     run_experiment,
 )
-from orliczlab.paths import PathGrid, draw_normals, hitting_index, simulate_batch
+from orliczlab.paths import PathGrid, draw_normals, draw_tiles, hitting_index, simulate_batch
 from orliczlab.spaces import DiscreteMeasureSpace, modular_of_norms
 
 
@@ -461,23 +461,33 @@ def test_modular_paths_read_the_running_max_bitwise(gname):
 
 @pytest.mark.parametrize("coords", [1, 2])
 @pytest.mark.parametrize("factor", [1, 4])
-def test_views_match_sequential_batches_bitwise(coords, factor):
+def test_views_match_sequential_batches_bitwise(coords, factor, monkeypatch):
     grid = PathGrid(1.0, 32)
+    monkeypatch.setattr(lab, "_TILE_BYTES", 3 * coords * 32 * 8)  # 3 rows a tile
+    seen = []
     interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # interleave the draw-ahead thread with the consumer often
+    sys.setswitchinterval(1e-6)  # interleave the draw-ahead thread with the kernel often
     try:
-        got = list(_views(6, "views", coords, grid, 23, 10, factor))  # batches 10, 10, 3
+        # batches 10, 10, 3; tiles 3, 3, 4 (the 1-row remainder folded), 3
+        _execute(6, "views", coords, PathGrid(1.0, 32 // factor), 23, 10,
+                 lambda tag, b: seen.append((tag, b)) or [], factor)
     finally:
         sys.setswitchinterval(interval)
     ref = []
     for index, size in enumerate((10, 10, 3)):
         b = simulate_batch(draw_normals(6, ("views", "batch", index), coords, 32, size), grid)
         ref += [("n", b)] if factor == 1 else [("4n", b), ("n", b.coarsened(4))]
-    assert [tag for tag, _ in got] == [tag for tag, _ in ref]
-    for (_, b), (_, r) in zip(got, ref):
-        assert b.replicates == r.replicates and b.grid == r.grid
-        assert np.array_equal(b.increments, r.increments)
-        assert np.array_equal(b.paths, r.paths)
+    tags = ["n"] if factor == 1 else ["4n", "n"]
+    assert [tag for tag, _ in seen] == tags * 7
+    assert [b.replicates for _, b in seen[:: len(tags)]] == [3, 3, 4, 3, 3, 4, 3]
+    for tag in tags:
+        got = [b for t, b in seen if t == tag]
+        want = [r for t, r in ref if t == tag]
+        assert all(b.grid == want[0].grid for b in got)
+        assert sum(b.replicates for b in got) == sum(r.replicates for r in want)
+        for attr in ("increments", "paths"):
+            assert np.array_equal(np.concatenate([getattr(b, attr) for b in got]),
+                                  np.concatenate([getattr(r, attr) for r in want]))
 
 
 def _extra_threads_joined(baseline, timeout=5.0) -> int:
@@ -489,18 +499,22 @@ def _extra_threads_joined(baseline, timeout=5.0) -> int:
     return threading.active_count() - len(baseline)
 
 
+def _stop(tag, b):
+    raise RuntimeError("consumer")
+
+
 def test_views_leave_no_thread_behind():
     grid = PathGrid(1.0, 16)
     baseline = set(threading.enumerate())
-    views = _views(1, "threads", 1, grid, 50, 10)
-    next(views)
-    views.close()  # early close while the next draw is in flight
+    with pytest.raises(RuntimeError, match="consumer"):
+        _execute(1, "threads", 1, grid, 50, 10, _stop)  # stops while the next draw is in flight
     assert _extra_threads_joined(baseline) == 0
     with pytest.raises(RuntimeError, match="consumer"):
-        for _ in _views(1, "threads", 2, grid, 50, 10, 4):
-            raise RuntimeError("consumer")
+        _execute(1, "threads", 2, PathGrid(1.0, 4), 50, 10, _stop, 4)
     assert _extra_threads_joined(baseline) == 0
-    assert len(list(_views(1, "threads", 1, grid, 50, 10))) == 5
+    tiles = []
+    _execute(1, "threads", 1, grid, 50, 10, lambda tag, b: tiles.append(b) or [])
+    assert len(tiles) == 5
     assert _extra_threads_joined(baseline) == 0
 
 
@@ -508,13 +522,92 @@ def test_views_raise_a_draw_error(monkeypatch):
     def failing(seed, stream, *args):
         if stream[-1] == 2:
             raise FloatingPointError("draw failed")
-        return draw_normals(seed, stream, *args)
+        return draw_tiles(seed, stream, *args)
 
-    monkeypatch.setattr(lab, "draw_normals", failing)
+    monkeypatch.setattr(lab, "draw_tiles", failing)
     baseline = set(threading.enumerate())
     seen = []
     with pytest.raises(FloatingPointError, match="draw failed"):
-        for _, b in _views(1, "threads", 1, PathGrid(1.0, 16), 50, 10):
-            seen.append(b.replicates)
+        _execute(1, "threads", 1, PathGrid(1.0, 16), 50, 10,
+                 lambda tag, b: seen.append(b.replicates) or [])
     assert seen == [10, 10]  # batches 0 and 1, then the error of batch 2
     assert _extra_threads_joined(baseline) == 0
+
+
+def test_tile_rows_fold_a_one_row_remainder(monkeypatch):
+    monkeypatch.setattr(lab, "_TILE_BYTES", 6 * 100)
+    assert lab._tile_rows(13, 100) == [6, 7]
+    assert lab._tile_rows(14, 100) == [6, 6, 2]
+    assert lab._tile_rows(1, 100) == [1]  # a 1-row batch is a whole batch
+    assert lab._tile_rows(5, 10_000) == [2, 3]  # at least 2 rows a tile
+
+
+# Every Monte Carlo experiment on ragged tiles of 6 rows (12 for the
+# scalar Lenglart pair, whose one batch is not a multiple of 12): each last
+# batch of 7 rows leaves a 1-row remainder, at 4 atoms for lenglart's
+# Orlicz pair and orlicz_bdg, and the first orlicz_bdg tile holds fewer
+# than the 32 norm-agreement replicates.
+TILED = [
+    # experiment, replicates, grid_n, params, bytes of normals per row
+    ("isometry", 2048 + 7, 16, {}, 2 * 64 * 8),
+    ("good_lambda", 2048 + 7, 8, {}, 32 * 8),
+    ("bdg_scalar", 2048 + 7, 16, {}, 16 * 8),
+    ("doob_orlicz", 2048 + 7, 8, {}, 32 * 8),
+    ("lenglart", 512 + 7, 16, {"orlicz_grid_n": 16}, 2 * 16 * 8),
+    ("orlicz_bdg", 512 + 7, 16, {}, 2 * 64 * 8),
+]
+
+
+def _tallied(monkeypatch, name, replicates, grid_n, params):
+    """The experiment's reports, and every tally add as (key, lhs, rhs, bounds)."""
+    adds = []
+
+    def record(self, key, lhs, rhs, *bounds):
+        adds.append((key, np.array(lhs), np.array(rhs), bounds))
+        add(self, key, lhs, rhs, *bounds)
+
+    add = lab._Tally.add
+    monkeypatch.setattr(lab._Tally, "add", record)
+    try:
+        res = small(name, replicates=replicates, grid_n=grid_n, **params)
+    finally:
+        monkeypatch.setattr(lab._Tally, "add", add)
+    return [repr(r) for r in res.reports], adds
+
+
+@pytest.mark.parametrize("name, replicates, grid_n, params, row_bytes", TILED)
+def test_tiles_match_whole_batches_bitwise(monkeypatch, name, replicates, grid_n, params,
+                                           row_bytes):
+    monkeypatch.setattr(lab, "_TILE_BYTES", 1 << 40)  # one tile per batch
+    whole_reports, whole = _tallied(monkeypatch, name, replicates, grid_n, params)
+    monkeypatch.setattr(lab, "_TILE_BYTES", 6 * row_bytes)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        tiled_reports, tiled = _tallied(monkeypatch, name, replicates, grid_n, params)
+    finally:
+        sys.setswitchinterval(interval)
+    assert [key for key, *_ in tiled] == [key for key, *_ in whole]
+    for (key, lhs, rhs, bounds), (_, lhs_w, rhs_w, bounds_w) in zip(tiled, whole):
+        assert lhs.dtype == lhs_w.dtype and np.array_equal(lhs, lhs_w), key
+        assert rhs.dtype == rhs_w.dtype and np.array_equal(rhs, rhs_w), key
+        assert bounds == bounds_w, key
+    assert tiled_reports == whole_reports
+
+
+def test_scaling_rows_fail_on_a_non_homogeneous_kernel(monkeypatch):
+    """The scaled sides are computed from a second kernel run on 2x (and
+    0.5x) inputs, so a kernel that is not homogeneous breaks them."""
+    from orliczlab.paths import quadratic_variation, running_abs_max
+
+    res = small("lenglart", replicates=1000, grid_n=256, pairs="scalar")
+    assert {r.label: r for r in res.reports}["scaling-exact:scalar"].passed
+    monkeypatch.setattr(lab, "running_abs_max", lambda v, read: running_abs_max(v, read) + 1e-3)
+    res = small("lenglart", replicates=1000, grid_n=256, pairs="scalar")
+    row = {r.label: r for r in res.reports}["scaling-exact:scalar"]
+    assert not row.passed and row.extras["scaling_exact"] is False
+    monkeypatch.setattr(lab, "quadratic_variation", lambda inc: quadratic_variation(inc) + 1e-3)
+    res = small("bdg_scalar", replicates=1000, grid_n=256)
+    upper = {r.label: r for r in res.reports}["bdg-upper:bm"]
+    assert upper.extras["scaling_exact"] is False
+    assert upper.extras["ratio_scaled_2"] != upper.ratio

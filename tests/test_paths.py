@@ -166,6 +166,16 @@ def test_draw_normals_fill_the_per_coordinate_draws():
     assert np.array_equal(batch.paths, full)
 
 
+def test_draw_tiles_continue_each_coordinate_stream():
+    # row tiles of one draw, 1-row tile included, hold the bits of the single draw
+    whole = P.draw_normals(9, ("tiles",), 3, 17, 11)
+    tiles = list(P.draw_tiles(9, ("tiles",), 3, 17, [4, 1, 6]))
+    assert [t.shape for t in tiles] == [(3, 4, 17), (3, 1, 17), (3, 6, 17)]
+    assert np.array_equal(np.concatenate(tiles, axis=1), whole)
+    with pytest.raises(ValueError, match="replicates"):
+        list(P.draw_tiles(9, ("tiles",), 3, 17, [4, 0]))
+
+
 @pytest.mark.parametrize("coords", [1, 2])
 @pytest.mark.parametrize("factor", [2, 4])
 def test_strided_coarsening_matches_group_sums_bitwise(coords, factor):
