@@ -40,13 +40,20 @@ whose rows should carry the paired slack.  Every key carries ``tag`` when
 the experiment runs on two grids.  A kernel must treat each replicate on
 its own (prefix sums, maxima, hitting times and modulars run along time or
 atoms, never across replicates), so its outputs do not depend on how the
-rows are cut into tiles.
+rows are cut into tiles.  Kernels run two at a time, on worker threads, so
+a kernel must also be a pure function of its tile: it changes nothing
+outside its outputs (no closure list, no counter).  What finalize needs
+besides the tally (a sample, a count) goes out under a key that begins
+with ``_``, as ``(values,)``; the executor keeps those values in tile
+order and does not tally them.
 
 ``_execute(seed, name, coords, grid, replicates, batch, kernel, factor)``
-owns the rest: it draws the driver per tile on a worker thread, two tiles
-ahead; it runs the kernel on each tile, as ``"4n"`` on the grid refined by
-``factor = 4`` and then as ``"n"`` coarsened back to ``grid``; and it feeds
-a ``_Tally`` once per batch, the tiles' outputs concatenated in tile order.
+owns the rest: it draws the driver per tile on one worker thread; it runs
+the kernel on each tile on two more, as ``"4n"`` on the grid refined by
+``factor = 4`` and then as ``"n"`` coarsened back to ``grid``; and, on the
+calling thread, it reads the tiles' outputs in tile order and feeds a
+``_Tally`` once per batch with them concatenated.  ``tally.kept`` holds
+the ``_`` keys' values.
 Finalize then builds the rows from the returned tally with ``_Tally.row``
 (``reverse=True`` checks rhs against lhs) at ``tally.steps[tag]``.
 Deterministic rows come from ``_exact_row`` and its forms
@@ -56,9 +63,10 @@ Deterministic rows come from ``_exact_row`` and its forms
 from __future__ import annotations
 
 import numbers
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -200,8 +208,10 @@ def _resolve(cfg):
 
 
 # Bytes of normals per tile: a tile's paths and the kernel's arrays on them
-# stay a few MiB each, whatever the batch size.
-_TILE_BYTES = 8 << 20
+# stay a few MiB each, whatever the batch size, with two tiles in kernels.
+_TILE_BYTES = 4 << 20
+# Tile kernels that run at once, each on its own worker thread: one per core.
+_KERNEL_THREADS = 2
 
 
 def _tile_rows(size: int, row_bytes: int) -> list:
@@ -228,14 +238,22 @@ def _execute(seed: int, name: str, coords: int, grid: PathGrid, replicates: int,
     per-replicate ``lhs`` and ``rhs``, each key once per tile.  Once per
     batch, each key's arrays are concatenated in tile order and added as
     ``tally.add(key, lhs, rhs, *bounds)``, keys in the order first
-    yielded: a batch's sums stay one pairwise sum, whatever its tiles.  The
-    tally's ``steps`` maps each tag to its grid steps.
+    yielded: a batch's sums stay one pairwise sum, whatever its tiles.  A
+    key that begins with ``_`` yields ``(values,)`` instead, as often as it
+    likes; it is not tallied, and ``tally.kept[key]`` holds its values of
+    every tile concatenated in tile order.  The tally's ``steps`` maps each
+    tag to its grid steps.
 
-    One worker thread draws the normals of the next two tiles while a tile
-    is processed: two, so that the draw rarely waits on a slow tile.  A
-    batch's generators continue from tile to tile, so the bits are those of
-    drawing whole batches in sequence.  The worker only draws: tiles are
-    built, and kernels run, on the calling thread.
+    Up to ``_KERNEL_THREADS`` tiles are in kernels at once, each job on a
+    worker thread: ``simulate_batch``, the kernel calls and copies of their
+    outputs, so no view keeps a tile alive.  The calling thread reads the
+    jobs in tile order, never in completion order, so a kernel must be a
+    pure function of its tile.  One more worker draws the normals two tiles
+    ahead of the last job begun.  The draw stays sequential: a batch's
+    generators continue from tile to tile, so the bits are those of drawing
+    whole batches in sequence.  An error in a draw or a kernel reaches the
+    caller once the jobs before it are read; jobs not begun are cancelled
+    and running ones waited for.
     """
     fine = PathGrid(grid.horizon, grid.steps * factor)
     plan = [_tile_rows(min(batch, replicates - done), coords * fine.steps * 8)
@@ -243,25 +261,39 @@ def _execute(seed: int, name: str, coords: int, grid: PathGrid, replicates: int,
     normals = (tile for i, rows in enumerate(plan)
                for tile in draw_tiles(seed, (name, "batch", i), coords, fine.steps, rows))
     tally = _Tally({"n": grid.steps, f"{factor}n": fine.steps})
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        ahead = [pool.submit(next, normals, None) for _ in range(2)]
-        try:
-            for rows in plan:
-                parts = {}
-                for _ in rows:
-                    tile, ahead = ahead[0].result(), [*ahead[1:], pool.submit(next, normals, None)]
-                    tile = simulate_batch(tile, fine)
-                    outs = kernel("n", tile) if factor == 1 else chain(
-                        kernel(f"{factor}n", tile), kernel("n", tile.coarsened(factor)))
-                    for key, (lhs, rhs, *bounds) in outs:  # copies: no view keeps a tile alive
-                        parts.setdefault(key, []).append((np.array(lhs), np.array(rhs), *bounds))
-                for key, values in parts.items():
-                    lhs, rhs = (np.concatenate(side) for side in list(zip(*values))[:2])
-                    tally.add(key, lhs, rhs, *values[0][2:])
-        finally:
-            for draw in ahead:  # drop the draws not begun, wait for the one in flight
-                if not draw.cancel():
-                    draw.exception()
+    drawer, pool = ThreadPoolExecutor(max_workers=1), ThreadPoolExecutor(_KERNEL_THREADS)
+
+    def job(draw):
+        tile = simulate_batch(draw.result(), fine)
+        outs = kernel("n", tile) if factor == 1 else chain(
+            kernel(f"{factor}n", tile), kernel("n", tile.coarsened(factor)))
+        return [(key, [np.array(a) for a in sides[:2]], sides[2:]) for key, sides in outs]
+
+    def jobs():  # one per tile, in tile order
+        draws = deque(drawer.submit(next, normals, None) for _ in range(2))
+        for _ in range(sum(map(len, plan))):
+            draws.append(drawer.submit(next, normals, None))
+            yield pool.submit(job, draws.popleft())
+
+    try:
+        pending = jobs()
+        running = deque(islice(pending, _KERNEL_THREADS))
+        for rows in plan:
+            parts = {}
+            for _ in rows:
+                outs = running.popleft().result()
+                running.extend(islice(pending, 1))
+                for key, sides, bounds in outs:
+                    parts.setdefault(key, []).append((sides, bounds))
+            for key, values in parts.items():
+                sides = [np.concatenate(side) for side in zip(*(s for s, _ in values))]
+                if key[0] == "_":
+                    tally.kept[key] = np.concatenate([tally.kept.get(key, sides[0][:0]), *sides])
+                else:
+                    tally.add(key, *sides, *values[0][1])
+    finally:  # cancel the jobs and draws not begun, wait for the running ones
+        drawer.shutdown(cancel_futures=True)
+        pool.shutdown(cancel_futures=True)
     return tally
 
 
@@ -271,6 +303,7 @@ class _Tally:
 
     def __init__(self, steps) -> None:
         self.steps = steps  # grid steps per tag
+        self.kept = {}  # untallied kernel outputs: key -> values in tile order
         self._sides = {}
         self._diffs = {}
 
@@ -562,10 +595,7 @@ def run_doob_orlicz(cfg) -> ExperimentResult:
     gauges = (("power_2", power2), ("lambda_2", lambda2))
     bounds = {("doob", "power_2"): 4.0}  # the Doob constant; 1 elsewhere
 
-    violations = 0
-
     def kernel(tag, b):
-        nonlocal violations
         terminal = np.abs(b.paths[:, 0, -1])
         supremum = np.abs(b.paths[:, 0, :]).max(axis=1)
         pairs = {"identity": (terminal, terminal), "dominated": (terminal, supremum),
@@ -577,7 +607,7 @@ def run_doob_orlicz(cfg) -> ExperimentResult:
                 rhs_s = eta * on
                 yield ("hypothesis", tag, pname, k), (lhs_s, rhs_s, 1.0)
                 if pname == "dominated":
-                    violations += int(np.count_nonzero(lhs_s > rhs_s))
+                    yield "_violations", (lhs_s > rhs_s,)
             for gname, gauge in gauges:
                 # (doob, lambda_2) feeds only the stability rows: no difference is read
                 paired = () if (pname, gname) == ("doob", "lambda_2") else (
@@ -586,6 +616,7 @@ def run_doob_orlicz(cfg) -> ExperimentResult:
 
     tally = _execute(cfg.seed, "doob_orlicz", 1, PathGrid(params["horizon"], n), replicates,
                      2048, kernel, 4)
+    violations = int(np.count_nonzero(tally.kept["_violations"]))
     reports = []
     for key in tally.keys():
         kind, tag, pname, k = key
@@ -824,8 +855,6 @@ def run_orlicz_bdg(cfg) -> ExperimentResult:
     ]
     single_spec = build_process({"rule": "constant_e1"})
 
-    sample = []  # the first 32 replicates' terminal norms, for the norm-agreement rows
-
     def kernel(tag, b):
         grid_points = {t: b.grid.index_of(t) for t in sweep_times}
         combos = [(t, c) for t in sweep_times for c in scales] if tag == "4n" else [(horizon, 1.0)]
@@ -843,8 +872,8 @@ def run_orlicz_bdg(cfg) -> ExperimentResult:
                     sup, clock = done[c]
                     idx = grid_points[t_stop]
                     yield (spec.rule, gname, tag, t_stop, c), (sup[idx], clock[idx], *paired)
-            if tag == "4n" and spec.rule == "two_coord_mix":
-                sample.append(np.sqrt(eta[: 32 - sum(map(len, sample)), -1, :]))
+            if tag == "4n" and spec.rule == "two_coord_mix":  # for the norm-agreement rows
+                yield "_sample", (np.sqrt(eta[:32, -1, :]),)
         if tag == "4n":
             # single-atom reduction: X = e1, modular path = B^2, clock = t
             realized = single_spec.realize(b.paths, b.grid, space1)
@@ -884,7 +913,7 @@ def run_orlicz_bdg(cfg) -> ExperimentResult:
                                             ratios[(1.0, 1.0)], steps["4n"]))
     reports.append(tally.row("single-atom-fwd", "single", 4.0, steps["4n"]))
     reports.append(tally.row("single-atom-rev", "single", 1.0, steps["4n"], reverse=True))
-    sample = np.concatenate(sample)
+    sample = tally.kept["_sample"][:32]  # the first 32 replicates' terminal norms
     for gname in ("power_2", "power_1_5"):
         # power-gauge norm path agrees with modular^(1/p)
         g = get_gauge(gname)

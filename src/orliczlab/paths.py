@@ -189,11 +189,16 @@ def running_abs_max(values: np.ndarray, read) -> np.ndarray:
 
 
 def quadratic_variation(increments: np.ndarray) -> np.ndarray:
-    """Pathwise quadratic variation: prefix sums of squared increments."""
+    """Pathwise quadratic variation: prefix sums of squared increments.
+
+    The squares and their prefix sums fill one buffer in place, in the
+    order of ``cumsum(inc * inc)``, so the bits are those of that formula.
+    """
     inc = np.asarray(increments, dtype=float)
-    shape = inc.shape[:-1] + (inc.shape[-1] + 1,)
-    out = np.zeros(shape)
-    np.cumsum(inc * inc, axis=-1, out=out[..., 1:])
+    out = np.empty(inc.shape[:-1] + (inc.shape[-1] + 1,))
+    out[..., 0] = 0.0
+    np.multiply(inc, inc, out=out[..., 1:])
+    np.cumsum(out[..., 1:], axis=-1, out=out[..., 1:])
     return out
 
 

@@ -2,6 +2,7 @@
 
 import sys
 import threading
+import time
 from fnmatch import fnmatch
 
 import numpy as np
@@ -26,7 +27,7 @@ from orliczlab.lab import (
     run_experiment,
 )
 from orliczlab.paths import PathGrid, draw_normals, draw_tiles, hitting_index, simulate_batch
-from orliczlab.spaces import DiscreteMeasureSpace, modular_of_norms
+from orliczlab.spaces import DiscreteMeasureSpace, luxemburg_of_norms, modular_of_norms
 
 
 def small(name, replicates=2000, grid_n=128, **params):
@@ -459,18 +460,26 @@ def test_modular_paths_read_the_running_max_bitwise(gname):
                                                              gauge))
 
 
+def _tile_record(tag, b):
+    """A kernel whose outputs record each tile: its tag, size, grid, driver."""
+    yield "_tags", (np.array([tag]),)
+    yield f"_rows{tag}", (np.array([b.replicates]),)
+    yield f"_grid{tag}", (np.array([[b.grid.horizon, b.grid.steps]]),)
+    yield f"_increments{tag}", (b.increments,)
+    yield f"_paths{tag}", (b.paths,)
+
+
 @pytest.mark.parametrize("coords", [1, 2])
 @pytest.mark.parametrize("factor", [1, 4])
 def test_views_match_sequential_batches_bitwise(coords, factor, monkeypatch):
     grid = PathGrid(1.0, 32)
     monkeypatch.setattr(lab, "_TILE_BYTES", 3 * coords * 32 * 8)  # 3 rows a tile
-    seen = []
     interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # interleave the draw-ahead thread with the kernel often
+    sys.setswitchinterval(1e-6)  # interleave the draw and kernel threads often
     try:
         # batches 10, 10, 3; tiles 3, 3, 4 (the 1-row remainder folded), 3
-        _execute(6, "views", coords, PathGrid(1.0, 32 // factor), 23, 10,
-                 lambda tag, b: seen.append((tag, b)) or [], factor)
+        kept = _execute(6, "views", coords, PathGrid(1.0, 32 // factor), 23, 10, _tile_record,
+                        factor).kept
     finally:
         sys.setswitchinterval(interval)
     ref = []
@@ -478,15 +487,14 @@ def test_views_match_sequential_batches_bitwise(coords, factor, monkeypatch):
         b = simulate_batch(draw_normals(6, ("views", "batch", index), coords, 32, size), grid)
         ref += [("n", b)] if factor == 1 else [("4n", b), ("n", b.coarsened(4))]
     tags = ["n"] if factor == 1 else ["4n", "n"]
-    assert [tag for tag, _ in seen] == tags * 7
-    assert [b.replicates for _, b in seen[:: len(tags)]] == [3, 3, 4, 3, 3, 4, 3]
+    assert list(kept["_tags"]) == tags * 7
+    assert list(kept[f"_rows{tags[0]}"]) == [3, 3, 4, 3, 3, 4, 3]
     for tag in tags:
-        got = [b for t, b in seen if t == tag]
         want = [r for t, r in ref if t == tag]
-        assert all(b.grid == want[0].grid for b in got)
-        assert sum(b.replicates for b in got) == sum(r.replicates for r in want)
+        assert (kept[f"_grid{tag}"] == [want[0].grid.horizon, want[0].grid.steps]).all()
+        assert kept[f"_rows{tag}"].sum() == sum(r.replicates for r in want)
         for attr in ("increments", "paths"):
-            assert np.array_equal(np.concatenate([getattr(b, attr) for b in got]),
+            assert np.array_equal(kept[f"_{attr}{tag}"],
                                   np.concatenate([getattr(r, attr) for r in want]))
 
 
@@ -534,6 +542,95 @@ def test_views_raise_a_draw_error(monkeypatch):
     assert _extra_threads_joined(baseline) == 0
 
 
+def _adds(monkeypatch):
+    """Record every tally add as (key, lhs, rhs, bounds)."""
+    adds = []
+    add = lab._Tally.add
+
+    def record(self, key, lhs, rhs, *bounds):
+        adds.append((key, np.array(lhs), np.array(rhs), bounds))
+        add(self, key, lhs, rhs, *bounds)
+
+    monkeypatch.setattr(lab._Tally, "add", record)
+    return adds
+
+
+@pytest.mark.parametrize("threads", [2, 4])
+def test_tiles_finishing_out_of_order_tally_in_tile_order(monkeypatch, threads):
+    """Even tiles sleep, so odd ones finish first; the adds stay sequential."""
+    monkeypatch.setattr(lab, "_TILE_BYTES", 3 * 16 * 8)  # 3 rows a tile, 7 tiles
+    grid = PathGrid(1.0, 16)
+    starts = [t[0, 0, 0] * np.sqrt(grid.dt) for i, size in enumerate((10, 10, 3))
+              for t in draw_tiles(5, ("order", "batch", i), 1, 16, lab._tile_rows(size, 16 * 8))]
+    done = []
+
+    def kernel(tag, b):
+        tile = starts.index(b.increments[0, 0, 0])  # simulate_batch scales by the same factor
+        if threads > 1 and tile % 2 == 0:
+            time.sleep(0.2)
+        done.append(tile)
+        yield ("sup", tag), (np.abs(b.paths[:, 0, :]).max(axis=1), b.paths[:, 0, -1] ** 2, 1.0)
+        yield "end", (b.paths[:, 0, -1], np.full(b.replicates, tile), 4.0)
+
+    runs, adds = {}, _adds(monkeypatch)
+    for n in (1, threads):
+        monkeypatch.setattr(lab, "_KERNEL_THREADS", n)
+        adds.clear()
+        done.clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            _execute(5, "order", 1, grid, 23, 10, kernel)
+        finally:
+            sys.setswitchinterval(interval)
+        runs[n] = list(adds), list(done)
+    (seq, seq_done), (par, par_done) = runs[1], runs[threads]
+    assert seq_done == list(range(7)) and sorted(par_done) == seq_done
+    assert par_done.index(1) < par_done.index(0)  # a later tile finished first
+    assert [key for key, *_ in par] == [key for key, *_ in seq] == [("sup", "n"), "end"] * 3
+    for (key, lhs, rhs, bounds), (_, lhs_s, rhs_s, bounds_s) in zip(par, seq):
+        assert np.array_equal(lhs, lhs_s) and np.array_equal(rhs, rhs_s), key
+        assert bounds == bounds_s
+    assert list(seq[-1][2]) == [6, 6, 6]  # the last batch is the last tile
+
+
+def test_orlicz_bdg_sample_is_the_first_replicates_when_a_later_tile_finishes_first(monkeypatch):
+    """The norm-agreement rows read the first 32 replicates of batch 0, in
+    tile order, although the first tile's job finishes after later ones."""
+    monkeypatch.setattr(lab, "_TILE_BYTES", 8 * 2 * 64 * 8)  # 8 rows a tile
+    drawn, begun = [], []
+
+    def draws(seed, stream, *args):
+        for tile in draw_tiles(seed, stream, *args):
+            drawn.append(tile)
+            yield tile
+
+    def slow_first(normals, grid):
+        if normals is drawn[0] and lab._KERNEL_THREADS > 1:
+            time.sleep(0.5)
+        begun.append(next(i for i, t in enumerate(drawn) if t is normals))
+        return simulate_batch(normals, grid)
+
+    samples = []
+
+    def lux(sample, weights, gauge):
+        samples.append(sample)
+        return luxemburg_of_norms(sample, weights, gauge)
+
+    monkeypatch.setattr(lab, "draw_tiles", draws)
+    monkeypatch.setattr(lab, "simulate_batch", slow_first)
+    monkeypatch.setattr(lab, "luxemburg_of_norms", lux)
+    for threads in (1, 2):
+        monkeypatch.setattr(lab, "_KERNEL_THREADS", threads)
+        drawn.clear()
+        begun.clear()
+        res = small("orlicz_bdg", replicates=100, grid_n=16)
+        assert all(r.passed for r in res.reports if r.label.startswith("norm-agreement"))
+    assert begun.index(1) < begun.index(0)  # with two threads, tile 1 began its kernel first
+    seq, par = samples[0], samples[2]
+    assert seq.shape == (32, 4) and np.array_equal(par, seq)
+
+
 def test_tile_rows_fold_a_one_row_remainder(monkeypatch):
     monkeypatch.setattr(lab, "_TILE_BYTES", 6 * 100)
     assert lab._tile_rows(13, 100) == [6, 7]
@@ -560,18 +657,9 @@ TILED = [
 
 def _tallied(monkeypatch, name, replicates, grid_n, params):
     """The experiment's reports, and every tally add as (key, lhs, rhs, bounds)."""
-    adds = []
-
-    def record(self, key, lhs, rhs, *bounds):
-        adds.append((key, np.array(lhs), np.array(rhs), bounds))
-        add(self, key, lhs, rhs, *bounds)
-
-    add = lab._Tally.add
-    monkeypatch.setattr(lab._Tally, "add", record)
-    try:
+    with monkeypatch.context() as patch:
+        adds = _adds(patch)
         res = small(name, replicates=replicates, grid_n=grid_n, **params)
-    finally:
-        monkeypatch.setattr(lab._Tally, "add", add)
     return [repr(r) for r in res.reports], adds
 
 

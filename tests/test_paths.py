@@ -196,3 +196,13 @@ def test_running_abs_max_at_read_points_matches_accumulate_bitwise():
         got = P.running_abs_max(values, read)
         assert got.shape == (2, 7, len(read))
         assert np.array_equal(got, full[..., read])
+
+
+def test_quadratic_variation_matches_the_prefix_sum_formula_bitwise():
+    rng = substream(6, "qv-bits")
+    inc = rng.standard_normal((2, 5, 3, 40)).transpose(1, 0, 2, 3)  # strided, as a tile's view
+    for x in (inc, inc[:, 0, 0, :], inc[:1, :, :, :1], np.ascontiguousarray(inc)):
+        ref = np.zeros(x.shape[:-1] + (x.shape[-1] + 1,))
+        np.cumsum(x * x, axis=-1, out=ref[..., 1:])
+        got = P.quadratic_variation(x)
+        assert got.shape == ref.shape and np.array_equal(got, ref)
