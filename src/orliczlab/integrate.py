@@ -18,7 +18,8 @@ fixed per-atom coefficient, so no (reps, n+1, atoms, d) tensor is built.
 The integral and the energy take one prefix sum per distinct ``coef`` row,
 shared by the atoms that carry it.  The factor covers the leading
 ``values.shape[-1]`` driver coordinates; the integrand is zero along the
-rest, so the e1 rules carry a single factor column.
+rest, so the e1 rules carry a single factor column and ``two_coord_mix``
+two, whatever the driver's width.
 
 All kernels are batch-first: driver paths (reps, coords, n+1), factors
 (reps, n+1, d), coefficients (atoms, d) with d <= coords, integral and
@@ -42,7 +43,6 @@ __all__ = [
     "ElementaryProcess",
     "RealizedProcess",
     "make_elementary",
-    "build_process",
     "ito_integral",
     "eta_paths",
     "triple_norm_path",
@@ -52,7 +52,7 @@ __all__ = [
 
 
 class ProcessError(ValueError):
-    """Invalid process construction or rule configuration."""
+    """Invalid process construction or integrand rule."""
 
 
 # ---------------------------------------------------------------------------
@@ -178,10 +178,8 @@ class RealizedProcess:
     """
 
     grid: PathGrid
-    space: DiscreteMeasureSpace
     values: np.ndarray  # (reps, n+1, d), d <= driver coordinates
     coef: np.ndarray  # (atoms, d)
-    label: str
 
     def integral(self, increments: np.ndarray) -> np.ndarray:
         return ito_integral(self.values, self.coef, increments)
@@ -196,11 +194,9 @@ class ElementaryProcess:
     per driver coordinate, scaled per atom by ``coef``."""
 
     grid: PathGrid
-    space: DiscreteMeasureSpace
     break_indices: np.ndarray  # (blocks + 1,), ascending, within [0, n]
     block_values: np.ndarray  # (reps, blocks, d)
     coef: np.ndarray  # (atoms, d)
-    label: str = "elementary"
 
     def realize(self) -> RealizedProcess:
         reps, blocks, d = self.block_values.shape
@@ -212,7 +208,7 @@ class ElementaryProcess:
         # carry the final block value onto the closing grid point; the
         # integral never reads it, realizations stay block-shaped
         out[:, self.break_indices[-1] :] = self.block_values[:, -1, None]
-        return RealizedProcess(self.grid, self.space, out, self.coef, self.label)
+        return RealizedProcess(self.grid, out, self.coef)
 
     def integral_double_sum(self, paths: np.ndarray) -> np.ndarray:
         """Direct two-index sum over blocks and coordinates (reps, n+1, atoms).
@@ -234,12 +230,10 @@ class ElementaryProcess:
 
 def make_elementary(
     grid: PathGrid,
-    space: DiscreteMeasureSpace,
     break_indices: np.ndarray,
     value_fn: Callable[[int, np.ndarray], np.ndarray],
     paths: np.ndarray,
     coef: np.ndarray,
-    label: str = "elementary",
 ) -> ElementaryProcess:
     """Build an elementary process from per-block value functions.
 
@@ -261,123 +255,70 @@ def make_elementary(
         raise ProcessError(f"value function must return (reps, d); got {first.shape}")
     d = first.shape[1]
     coef = np.asarray(coef, dtype=float)
-    if coef.shape != (space.n_atoms, d):
-        raise ProcessError(f"coef must have shape {(space.n_atoms, d)}; got {coef.shape}")
+    if coef.ndim != 2 or coef.shape[1] != d:
+        raise ProcessError(f"coef must have shape (atoms, {d}); got {coef.shape}")
     vals = np.empty((reps, blocks, d))
     vals[:, 0] = first
     for i in range(1, blocks):
         vals[:, i] = value_fn(i, paths[:, :, : idx[i] + 1])
-    return ElementaryProcess(grid, space, idx, vals, coef, label=label)
+    return ElementaryProcess(grid, idx, vals, coef)
 
 
 # ---------------------------------------------------------------------------
 # named integrand rules
 
 
+PROCESS_RULES = ("constant_e1", "sign_of_B1", "B1_times_e1", "two_coord_mix", "coarsen_m")
+
+
 @dataclass(frozen=True)
 class ProcessSpec:
-    """Config-addressable integrand: a named rule plus parameters."""
+    """A named integrand rule.
+
+    ``constant_e1`` is 1 and ``B1_times_e1`` is the first driver coordinate,
+    along that coordinate; ``sign_of_B1`` is the sign of the first
+    coordinate at the start of each of ``blocks`` blocks; ``two_coord_mix``
+    is (1, tanh B2) on the first two coordinates, scaled by per-atom
+    magnitudes; ``coarsen_m`` delays ``inner`` by block averages of width
+    1/``m``.
+    """
 
     rule: str
-    params: dict
+    blocks: int = 16
+    m: int = 8
+    inner: ProcessSpec | None = None
 
-    @staticmethod
-    def from_config(cfg: dict) -> "ProcessSpec":
-        if not isinstance(cfg, dict) or "rule" not in cfg:
-            raise ProcessError("process config must be a mapping with a 'rule' key")
-        cfg = dict(cfg)
-        rule = cfg.pop("rule")
-        if rule not in PROCESS_RULES:
-            raise ProcessError(f"unknown integrand rule {rule!r}")
-        return ProcessSpec(rule=rule, params=cfg)
+    def __post_init__(self) -> None:
+        if self.rule not in PROCESS_RULES:
+            raise ProcessError(f"unknown integrand rule {self.rule!r}")
+        if self.rule == "coarsen_m" and self.inner is None:
+            raise ProcessError("rule 'coarsen_m' needs an 'inner' integrand")
 
-    def to_config(self) -> dict:
-        out = {"rule": self.rule}
-        for key, val in self.params.items():
-            out[key] = val.to_config() if isinstance(val, ProcessSpec) else val
-        return out
-
-    @property
-    def min_coords(self) -> int:
+    def realize(
+        self, paths: np.ndarray, grid: PathGrid, space: DiscreteMeasureSpace
+    ) -> RealizedProcess:
+        reps, coords, _ = paths.shape
+        n = grid.steps
+        e1 = np.ones((space.n_atoms, 1))  # the e1 rules realize the first coordinate only
+        if self.rule == "constant_e1":
+            return RealizedProcess(grid, np.ones((reps, n + 1, 1)), e1)
+        if self.rule == "B1_times_e1":
+            return RealizedProcess(grid, paths[:, 0, :, None], e1)
+        if self.rule == "sign_of_B1":
+            if not 1 <= self.blocks <= n:
+                raise ProcessError(f"sign_of_B1: blocks must be in [1, {n}], got {self.blocks}")
+            idx = np.unique(np.linspace(0, n, self.blocks + 1).astype(np.int64))
+            value_fn = lambda i, history: np.sign(history[:, :1, -1])
+            return make_elementary(grid, idx, value_fn, paths, e1).realize()
         if self.rule == "two_coord_mix":
-            return 2
-        if self.rule == "coarsen_m":
-            return _inner_spec(self).min_coords
-        return 1
-
-    @property
-    def label(self) -> str:
-        if self.rule == "coarsen_m":
-            return f"{_inner_spec(self).label}+J{self.params.get('m', 8)}"
-        return self.rule
-
-    def realize(self, paths: np.ndarray, grid: PathGrid, space: DiscreteMeasureSpace) -> RealizedProcess:
-        return _realize_rule(self, paths, grid, space)
-
-
-def _inner_spec(spec: ProcessSpec) -> ProcessSpec:
-    inner = spec.params.get("inner")
-    if inner is None:
-        raise ProcessError(f"rule {spec.rule!r} needs an 'inner' integrand")
-    if isinstance(inner, ProcessSpec):
-        return inner
-    return ProcessSpec.from_config(inner)
-
-
-def _atom_weights_pattern(n_atoms: int) -> np.ndarray:
-    # fixed per-atom magnitudes spreading two octaves
-    return np.geomspace(1.0, 0.25, n_atoms) if n_atoms > 1 else np.ones(1)
-
-
-def _realize_rule(spec: ProcessSpec, paths, grid: PathGrid, space: DiscreteMeasureSpace) -> RealizedProcess:
-    reps, coords, _ = paths.shape
-    if coords < spec.min_coords:
-        raise ProcessError(f"rule {spec.rule!r} needs {spec.min_coords} driver coordinates")
-    n = grid.steps
-    atoms = space.n_atoms
-    e1 = np.ones((atoms, 1))  # the e1 rules realize the first coordinate only
-    if spec.rule == "constant_e1":
-        return RealizedProcess(grid, space, np.ones((reps, n + 1, 1)), e1, spec.label)
-    if spec.rule == "B1_times_e1":
-        return RealizedProcess(grid, space, paths[:, 0, :, None], e1, spec.label)
-    if spec.rule == "sign_of_B1":
-        blocks = int(spec.params.get("blocks", 16))
-        if not 1 <= blocks <= n:
-            raise ProcessError(f"sign_of_B1: blocks must be in [1, {n}], got {blocks}")
-        idx = np.unique(np.linspace(0, n, blocks + 1).astype(np.int64))
-
-        def value_fn(i, history):
-            return np.sign(history[:, :1, -1])
-
-        return make_elementary(grid, space, idx, value_fn, paths, e1, spec.label).realize()
-    if spec.rule == "two_coord_mix":
-        c = _atom_weights_pattern(atoms)
-        vals = np.zeros((reps, n + 1, coords))
-        vals[..., 0] = 1.0
-        vals[..., 1] = np.tanh(paths[:, 1])
-        coef = np.zeros((atoms, coords))
-        coef[:, :2] = c[:, None]
-        return RealizedProcess(grid, space, vals, coef, spec.label)
-    if spec.rule == "coarsen_m":
-        m = int(spec.params.get("m", 8))
-        inner = _inner_spec(spec).realize(paths, grid, space)
-        coarse = coarsen_samples(np.moveaxis(inner.values, 1, -1), grid, m)
-        return RealizedProcess(grid, space, np.moveaxis(coarse, -1, 1), inner.coef, spec.label)
-    raise ProcessError(f"unknown integrand rule {spec.rule!r}")
-
-
-def build_process(cfg: dict | ProcessSpec) -> ProcessSpec:
-    """Validate a rule config and return its ProcessSpec."""
-    spec = cfg if isinstance(cfg, ProcessSpec) else ProcessSpec.from_config(cfg)
-    if spec.rule == "coarsen_m":
-        _inner_spec(spec)
-    return spec
-
-
-PROCESS_RULES: dict[str, str] = {
-    "constant_e1": "unit first-coordinate integrand on every atom",
-    "sign_of_B1": "blockwise sign of the first driver coordinate",
-    "B1_times_e1": "first driver coordinate times the first basis vector",
-    "two_coord_mix": "two-coordinate mix with per-atom magnitudes and tanh feedback",
-    "coarsen_m": "delayed block-average wrapper around an inner integrand",
-}
+            if coords < 2:
+                raise ProcessError("rule 'two_coord_mix' needs 2 driver coordinates")
+            vals = np.empty((reps, n + 1, 2))
+            vals[..., 0] = 1.0
+            vals[..., 1] = np.tanh(paths[:, 1])
+            # fixed per-atom magnitudes spreading two octaves
+            c = np.geomspace(1.0, 0.25, space.n_atoms) if space.n_atoms > 1 else np.ones(1)
+            return RealizedProcess(grid, vals, np.stack([c, c], axis=1))
+        inner = self.inner.realize(paths, grid, space)
+        coarse = coarsen_samples(np.moveaxis(inner.values, 1, -1), grid, self.m)
+        return RealizedProcess(grid, np.moveaxis(coarse, -1, 1), inner.coef)

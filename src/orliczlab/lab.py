@@ -80,7 +80,7 @@ from .gauges import (
     registry_gauges,
     young_gap,
 )
-from .integrate import build_process, triple_norm_path
+from .integrate import ProcessSpec, triple_norm_path
 from .paths import (
     PathGrid,
     draw_tiles,
@@ -397,15 +397,18 @@ def run_young(cfg) -> ExperimentResult:
     s_grid = np.geomspace(0.05, 20.0, grid_pts)
     t_grid = np.geomspace(0.05, 20.0, grid_pts)
     candidates = list(registry_gauges().items())
-    for i, gcfg in enumerate(params["extra_gauges"]):
-        gauge = gauge_from_config(dict(gcfg))
+    extra = params["extra_gauges"]
+    if not isinstance(extra, (list, tuple)):
+        raise LabError(f"young: params.extra_gauges must be a list of gauges, got {extra!r}")
+    for i, gcfg in enumerate(extra):
+        if not (isinstance(gcfg, dict) and "family" in gcfg):
+            raise LabError(f"young: params.extra_gauges[{i}] must be a gauge mapping, got {gcfg!r}")
+        gauge = gauge_from_config(gcfg)
         candidates.append((f"extra{i}:{gauge.label}", gauge))
     reports = []
-    names = []
     for name, gauge in candidates:
         if not classify_gauge(gauge).is_N_function:
             continue
-        names.append(name)
         comp = complementary_gauge(gauge)
         gaps = young_gap(gauge, comp, s_grid[:, None], t_grid[None, :])
         reports.append(_exact_row(f"young-gap:{name}", -float(gaps.min()), 1.0, 1e-9, grid_pts,
@@ -415,7 +418,7 @@ def run_young(cfg) -> ExperimentResult:
             eq_gaps = young_gap(gauge, comp, s_grid, gauge.derivative(s_grid))
             reports.append(_exact_row("young-equality:half_square",
                                       float(np.abs(eq_gaps).max()), 1.0, 1e-6, grid_pts))
-    return ExperimentResult("young", grid_pts, reports, notes={"gauges": ",".join(names)})
+    return ExperimentResult("young", grid_pts, reports)
 
 
 def run_moment_constant(cfg) -> ExperimentResult:
@@ -447,10 +450,10 @@ def run_isometry(cfg) -> ExperimentResult:
     space = DiscreteMeasureSpace(params["weights"])
     gauge = get_gauge("power_2")
     specs = [
-        build_process({"rule": "constant_e1"}),
-        build_process({"rule": "sign_of_B1", "blocks": 16}),
-        build_process({"rule": "B1_times_e1"}),
-        build_process({"rule": "two_coord_mix"}),
+        ProcessSpec("constant_e1"),
+        ProcessSpec("sign_of_B1"),
+        ProcessSpec("B1_times_e1"),
+        ProcessSpec("two_coord_mix"),
     ]
 
     def kernel(tag, b):
@@ -547,7 +550,7 @@ def run_bdg_scalar(cfg) -> ExperimentResult:
     """Doob bracket E sup|M|^2 / E<M> in [1, 4] for the suite martingales."""
     replicates, n, params = _resolve(cfg)
     space1 = DiscreteMeasureSpace([1.0])
-    sign_spec = build_process({"rule": "sign_of_B1", "blocks": 16})
+    sign_spec = ProcessSpec("sign_of_B1")
 
     def kernel(tag, b):
         realized = sign_spec.realize(b.paths, b.grid, space1)
@@ -636,7 +639,6 @@ def run_doob_orlicz(cfg) -> ExperimentResult:
                                      bounds.get((pname, gname), 1.0), tally.steps[tag]))
     ratios = {tag: tally.ratio(("conclusion", tag, "doob", "lambda_2")) for tag in ("4n", "n")}
     reports.extend(_stability_rows("stability:doob:lambda_2", ratios["4n"], ratios["n"], 0.10, n))
-    notes["doob_lambda2_ratio"] = ratios["4n"]
     return ExperimentResult("doob_orlicz", n, reports, notes)
 
 
@@ -653,22 +655,20 @@ def run_lenglart(cfg) -> ExperimentResult:
     pair_list = params["pairs"]
     if isinstance(pair_list, str):
         pair_list = (pair_list,)
+    if not isinstance(pair_list, (list, tuple)) or not pair_list:
+        raise LabError(f"lenglart: params.pairs must be a certified pair name or a non-empty"
+                       f" list of them, got {pair_list!r}")
     for p in pair_list:
         if p not in CERTIFIED_PAIRS:
-            raise LabError(
-                f"uncertified domination pair {p!r}; certified: {', '.join(CERTIFIED_PAIRS)}"
-            )
-    runs = {"scalar": lambda: _lenglart_scalar(cfg.seed, replicates, n, params),
-            "orlicz": lambda: _lenglart_orlicz(cfg.seed, replicates, params)}
-    reports, notes, audit_ok = [], {}, True
+            raise LabError(f"lenglart: params.pairs names the uncertified pair {p!r};"
+                           f" certified: {', '.join(CERTIFIED_PAIRS)}")
+    reports, audit_ok = [], True
     for pair in (p for p in CERTIFIED_PAIRS if p in pair_list):
-        rows, pair_notes, ok = runs[pair]()
+        rows, ok = (_lenglart_scalar(cfg.seed, replicates, n, params) if pair == "scalar"
+                    else _lenglart_orlicz(cfg.seed, replicates, params))
         reports.extend(rows)
-        notes.update(pair_notes)
         audit_ok = audit_ok and ok
-    if not audit_ok:
-        notes["audit_failed"] = True
-    return ExperimentResult("lenglart", n, reports, notes)
+    return ExperimentResult("lenglart", n, reports, {} if audit_ok else {"audit_failed": True})
 
 
 def _lenglart_scalar(seed, replicates, n, params):
@@ -722,7 +722,7 @@ def _lenglart_scalar(seed, replicates, n, params):
         reports.append(tally.row(f"tail:scalar:lam{k}", ("tail", k), 1.0, n,
                                  {"lambda": float(lambdas[k]), "eps": eps}))
     if not all(row.passed for row in reports):
-        return reports, {"scalar_ratio": None}, False
+        return reports, False
 
     reports.append(tally.row("conclusion:scalar:certified", "conclusion", c_star, n,
                              {"constant": c_star}))
@@ -732,8 +732,7 @@ def _lenglart_scalar(seed, replicates, n, params):
     reports.append(_spread_row("sweep:scalar:spread", ratios.values(), stability_factor, n))
     reports.append(_scaling_row("scaling-exact:scalar",
                                 [tally.ratio(("scaled", c)) for c in (0.5, 2.0)], ratios[1.0], n))
-    exact = reports[-1].extras["scaling_exact"]
-    return reports, {"scalar_ratio": ratios[1.0], "scalar_scaling_exact": exact}, True
+    return reports, True
 
 
 def _lenglart_orlicz(seed, replicates, params):
@@ -745,7 +744,7 @@ def _lenglart_orlicz(seed, replicates, params):
     gauge = get_gauge("power_2")
     rho1 = QuasiMetric.modular_difference(space, gauge)
     gamma2 = 2.0  # the clock metric sums weighted absolute differences
-    spec = build_process({"rule": "two_coord_mix"})
+    spec = ProcessSpec("two_coord_mix")
     threshold = float(params["clock_threshold"])
     sweep_times = (0.5, 1.0, 2.0)
     sweep_idx = [grid.index_of(t) for t in sweep_times]  # the last one is the horizon
@@ -778,7 +777,7 @@ def _lenglart_orlicz(seed, replicates, params):
     reports = [tally.row(f"hypothesis:orlicz:{w}", ("hypothesis", w), 1.0, n_master)
                for w in ("half-horizon", "clock_threshold")]
     if not all(row.passed for row in reports):
-        return reports, {"orlicz_ratio": None}, False
+        return reports, False
 
     c_cert = lenglart_constant(1.0, 2.0 * gamma2, rho1.gamma, 1.0)
     reports.append(tally.row("conclusion:orlicz:doob", "conclusion", 4.0, n_master))
@@ -792,8 +791,7 @@ def _lenglart_orlicz(seed, replicates, params):
     lhs, rhs = tally.sides(("sweep", 1.0))
     scaled = [(c**2 * lhs.mean) / (c**2 * rhs.mean) for c in (0.5, 2.0)]
     reports.append(_scaling_row("scaling-exact:orlicz", scaled, ratios[1.0], n_master))
-    exact = reports[-1].extras["scaling_exact"]
-    return reports, {"orlicz_ratio": ratios[1.0], "orlicz_scaling_exact": exact}, True
+    return reports, True
 
 
 # ---------------------------------------------------------------------------
@@ -850,10 +848,10 @@ def run_orlicz_bdg(cfg) -> ExperimentResult:
     gauges = (("power_2", power2), ("lambda_2", lambda2))
     rev_bounds = {"power_2": 1.0, "lambda_2": envelope}
     specs = [
-        build_process({"rule": "sign_of_B1", "blocks": 16}),
-        build_process({"rule": "two_coord_mix"}),
+        ProcessSpec("sign_of_B1"),
+        ProcessSpec("two_coord_mix"),
     ]
-    single_spec = build_process({"rule": "constant_e1"})
+    single_spec = ProcessSpec("constant_e1")
 
     def kernel(tag, b):
         grid_points = {t: b.grid.index_of(t) for t in sweep_times}

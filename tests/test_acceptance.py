@@ -20,7 +20,7 @@ from orliczlab import gauges as G
 from orliczlab._rng import substream
 from orliczlab.cli import main as cli_main
 from orliczlab.config import ExperimentConfig
-from orliczlab.integrate import build_process, coarsen_samples
+from orliczlab.integrate import ProcessSpec, coarsen_samples
 from orliczlab.lab import run_experiment
 from orliczlab.paths import PathGrid, draw_normals, simulate_batch
 from orliczlab.spaces import DiscreteMeasureSpace, luxemburg_of_norms
@@ -324,9 +324,9 @@ def test_block_average_projection():
     space = DiscreteMeasureSpace([1.0, 0.5])
     batch = simulate_batch(draw_normals(17, ("jm",), 2, grid.steps, 64), grid)
     for rule in ("constant_e1", "sign_of_B1", "B1_times_e1", "two_coord_mix"):
-        inner = {"rule": rule} if rule != "sign_of_B1" else {"rule": rule, "blocks": 16}
-        spec = build_process({"rule": "coarsen_m", "m": 8, "inner": inner})
-        x = build_process(inner).realize(batch.paths, grid, space)
+        inner = ProcessSpec(rule)
+        spec = ProcessSpec("coarsen_m", m=8, inner=inner)
+        x = inner.realize(batch.paths, grid, space)
         jx = spec.realize(batch.paths, grid, space)
         if not np.all(jx.eta() <= x.eta() + 1e-12):
             failures.append(f"{rule}: energy prefix domination violated")

@@ -9,7 +9,6 @@ from orliczlab.integrate import (
     ElementaryProcess,
     ProcessError,
     ProcessSpec,
-    build_process,
     coarsen_samples,
     eta_paths,
     ito_integral,
@@ -30,7 +29,7 @@ def small_bundle(coords=1, n=64, reps=50, seed=7, stream=("itest",)):
 class TestExactIdentities:
     def test_constant_integrand_reproduces_driver_bitwise(self):
         bundle = small_bundle()
-        spec = build_process({"rule": "constant_e1"})
+        spec = ProcessSpec("constant_e1")
         realized = spec.realize(bundle.paths, bundle.grid, SPACE2)
         integral = realized.integral(bundle.increments)
         for a in range(SPACE2.n_atoms):
@@ -38,7 +37,7 @@ class TestExactIdentities:
 
     def test_constant_integrand_eta_is_time(self):
         bundle = small_bundle()
-        spec = build_process({"rule": "constant_e1"})
+        spec = ProcessSpec("constant_e1")
         eta = spec.realize(bundle.paths, bundle.grid, SPACE1).eta()
         expected = np.broadcast_to(bundle.grid.times[None, :, None], eta.shape)
         assert_allclose(eta, expected, rtol=1e-12, atol=0.0)
@@ -47,7 +46,7 @@ class TestExactIdentities:
         # factors that share coef combine linearly: the driver itself, B^j on
         # coordinate j, and the two_coord_mix factor (1, tanh B2)
         bundle = small_bundle(coords=2)
-        y = build_process({"rule": "two_coord_mix"}).realize(bundle.paths, bundle.grid, SPACE2)
+        y = ProcessSpec("two_coord_mix").realize(bundle.paths, bundle.grid, SPACE2)
         x = np.moveaxis(bundle.paths, 1, -1)
         combo = 2.0 * x - 0.5 * y.values
         lhs = ito_integral(combo, y.coef, bundle.increments)
@@ -58,7 +57,7 @@ class TestExactIdentities:
     def test_integral_of_driver_matches_qv_identity(self):
         # sum B_k (B_{k+1} - B_k) telescopes to (B_n^2 - [B]_n) / 2
         bundle = small_bundle(n=128, reps=200)
-        x = build_process({"rule": "B1_times_e1"}).realize(bundle.paths, bundle.grid, SPACE1)
+        x = ProcessSpec("B1_times_e1").realize(bundle.paths, bundle.grid, SPACE1)
         integral = x.integral(bundle.increments)[:, :, 0]
         qv = np.zeros_like(bundle.paths[:, 0, :])
         np.cumsum(bundle.increments[:, 0, :] ** 2, axis=1, out=qv[:, 1:])
@@ -74,7 +73,7 @@ class TestExactIdentities:
             return np.sign(history[:, :1, -1]) * (i + 1)
 
         coef = np.array([[1.0], [0.5]])
-        elem = make_elementary(bundle.grid, space, idx, value_fn, bundle.paths, coef)
+        elem = make_elementary(bundle.grid, idx, value_fn, bundle.paths, coef)
         left = elem.realize().integral(bundle.increments)
         double = elem.integral_double_sum(bundle.paths)
         assert_allclose(double, left, rtol=1e-12, atol=1e-13)
@@ -82,7 +81,7 @@ class TestExactIdentities:
     def test_stopped_integrand_identity(self):
         # integrating X * 1_[sigma, inf) yields I_t - I_{t ∧ sigma}
         bundle = small_bundle(coords=2, n=128, reps=100)
-        x = build_process({"rule": "two_coord_mix"}).realize(bundle.paths, bundle.grid, SPACE2)
+        x = ProcessSpec("two_coord_mix").realize(bundle.paths, bundle.grid, SPACE2)
         sigma, _ = hitting_index(np.abs(bundle.paths[:, 0, :]), 0.5)
         past_sigma = np.arange(x.values.shape[1])[None, :, None] >= sigma[:, None, None]
         tail = ito_integral(x.values * past_sigma, x.coef, bundle.increments)
@@ -109,14 +108,18 @@ def dense_reference(x, increments):
     return integral, eta
 
 
+RULES = ["constant_e1", "sign_of_B1", "B1_times_e1", "two_coord_mix"]
+
+
 @pytest.mark.parametrize("atoms", [1, 2, 4])
-@pytest.mark.parametrize("rule", ["constant_e1", "sign_of_B1", "B1_times_e1", "two_coord_mix"])
-def test_factored_kernels_equal_dense_einsum(rule, atoms):
+@pytest.mark.parametrize("rule, coords", [pytest.param(r, 2, id=r) for r in RULES]
+                         + [pytest.param(r, 4, id=f"{r}-coords4") for r in RULES])
+def test_factored_kernels_equal_dense_einsum(rule, coords, atoms):
     # same products, summed in the same coordinate order: equal bit for bit
-    bundle = small_bundle(coords=2, n=64, reps=40, stream=("itest", "dense", rule))
+    bundle = small_bundle(coords=coords, n=64, reps=40, stream=("itest", "dense", rule))
     space = DiscreteMeasureSpace(np.linspace(1.0, 2.0, atoms))
-    x = build_process({"rule": rule}).realize(bundle.paths, bundle.grid, space)
-    # the e1 rules realize only the coordinate they read
+    x = ProcessSpec(rule).realize(bundle.paths, bundle.grid, space)
+    # each rule realizes only the coordinates it reads, however wide the driver
     assert x.values.shape[-1] == x.coef.shape[-1] == (2 if rule == "two_coord_mix" else 1)
     integral, eta = x.integral(bundle.increments), x.eta()
     ref_integral, ref_eta = dense_reference(x, bundle.increments)
@@ -142,7 +145,7 @@ class TestIsometry:
     @pytest.mark.parametrize("rule", ["sign_of_B1", "B1_times_e1", "two_coord_mix"])
     def test_terminal_isometry_paired(self, rule):
         bundle = small_bundle(coords=2, n=256, reps=20_000, stream=("itest", "iso", rule))
-        x = build_process({"rule": rule}).realize(bundle.paths, bundle.grid, SPACE1)
+        x = ProcessSpec(rule).realize(bundle.paths, bundle.grid, SPACE1)
         integral = x.integral(bundle.increments)[:, -1, 0]
         eta = x.eta()[:, -1, 0]
         diff = integral**2 - eta
@@ -152,7 +155,7 @@ class TestIsometry:
     def test_driver_integral_terminal_mean(self):
         # E (B_1^2 - 1)/2 = 0 up to discretization
         bundle = small_bundle(n=256, reps=20_000, stream=("itest", "meanzero"))
-        x = build_process({"rule": "B1_times_e1"}).realize(bundle.paths, bundle.grid, SPACE1)
+        x = ProcessSpec("B1_times_e1").realize(bundle.paths, bundle.grid, SPACE1)
         terminal = x.integral(bundle.increments)[:, -1, 0]
         stderr = terminal.std(ddof=1) / np.sqrt(terminal.size)
         assert abs(terminal.mean()) <= 3.0 * stderr
@@ -190,8 +193,8 @@ class TestCoarsening:
     def test_energy_prefix_domination(self):
         # delayed averages never carry more running energy than the source
         bundle = small_bundle(coords=2, n=256, reps=100, stream=("itest", "jm"))
-        x = build_process({"rule": "B1_times_e1"}).realize(bundle.paths, bundle.grid, SPACE2)
-        jx = build_process({"rule": "coarsen_m", "m": 8, "inner": {"rule": "B1_times_e1"}})
+        x = ProcessSpec("B1_times_e1").realize(bundle.paths, bundle.grid, SPACE2)
+        jx = ProcessSpec("coarsen_m", m=8, inner=ProcessSpec("B1_times_e1"))
         jx = jx.realize(bundle.paths, bundle.grid, SPACE2)
         assert np.all(jx.eta() <= x.eta() + 1e-12)
 
@@ -212,7 +215,7 @@ class TestCoarsening:
 class TestTruncationAndStops:
     def test_strict_threshold_on_triple_norm(self):
         bundle = small_bundle(coords=1, n=128, reps=200, stream=("itest", "tau"))
-        x = build_process({"rule": "B1_times_e1"}).realize(bundle.paths, bundle.grid, SPACE2)
+        x = ProcessSpec("B1_times_e1").realize(bundle.paths, bundle.grid, SPACE2)
         tn = triple_norm_path(x.eta(), SPACE2, get_gauge("power_2"))
         level = 0.05
         idx, hit = hitting_index(tn, level, mode="strict")
@@ -227,28 +230,20 @@ class TestTruncationAndStops:
 class TestSpecsAndValidation:
     def test_unknown_rule_named_in_error(self):
         with pytest.raises(ProcessError, match="no_such_rule"):
-            build_process({"rule": "no_such_rule"})
+            ProcessSpec("no_such_rule")
 
     def test_wrapper_requires_inner(self):
         with pytest.raises(ProcessError, match="inner"):
-            build_process({"rule": "coarsen_m", "m": 8})
-
-    def test_config_round_trip(self):
-        cfg = {"rule": "coarsen_m", "m": 2,
-               "inner": {"rule": "coarsen_m", "m": 4, "inner": {"rule": "two_coord_mix"}}}
-        spec = ProcessSpec.from_config(cfg)
-        assert spec.to_config() == cfg
-        assert spec.min_coords == 2
-        assert spec.label == "two_coord_mix+J4+J2"
+            ProcessSpec("coarsen_m", m=8)
 
     def test_two_coord_mix_needs_two_driver_coords(self):
         bundle = small_bundle(coords=1, n=32, reps=5)
         with pytest.raises(ProcessError, match="coordinates"):
-            build_process({"rule": "two_coord_mix"}).realize(bundle.paths, bundle.grid, SPACE2)
+            ProcessSpec("two_coord_mix").realize(bundle.paths, bundle.grid, SPACE2)
 
     def test_two_coord_mix_values(self):
         bundle = small_bundle(coords=2, n=32, reps=5, stream=("itest", "mix"))
-        x = build_process({"rule": "two_coord_mix"}).realize(bundle.paths, bundle.grid, SPACE2)
+        x = ProcessSpec("two_coord_mix").realize(bundle.paths, bundle.grid, SPACE2)
         c = np.geomspace(1.0, 0.25, 2)
         k = 17
         for a in range(2):
@@ -264,7 +259,7 @@ class TestSpecsAndValidation:
             assert history.shape[-1] == idx[i] + 1  # truncated view only
             return np.ones((history.shape[0], 1))
 
-        elem = make_elementary(bundle.grid, SPACE1, idx, value_fn, bundle.paths, np.ones((1, 1)))
+        elem = make_elementary(bundle.grid, idx, value_fn, bundle.paths, np.ones((1, 1)))
         dense = elem.realize().values
         assert np.all(dense[:, :16] == 0.0) and np.all(dense[:, 16:] == 1.0)
 
@@ -273,16 +268,15 @@ class TestSpecsAndValidation:
         fn = lambda i, h: np.ones((h.shape[0], 1))
         coef = np.ones((1, 1))
         with pytest.raises(ProcessError, match="ascend"):
-            make_elementary(bundle.grid, SPACE1, np.array([0, 0, 8]), fn, bundle.paths, coef)
+            make_elementary(bundle.grid, np.array([0, 0, 8]), fn, bundle.paths, coef)
         with pytest.raises(ProcessError, match="ascend"):
-            make_elementary(bundle.grid, SPACE1, np.array([0, 40]), fn, bundle.paths, coef)
+            make_elementary(bundle.grid, np.array([0, 40]), fn, bundle.paths, coef)
         with pytest.raises(ProcessError, match="coef must have shape"):
-            make_elementary(bundle.grid, SPACE1, np.array([0, 8]), fn, bundle.paths, np.ones((2, 1)))
+            make_elementary(bundle.grid, np.array([0, 8]), fn, bundle.paths, np.ones((1, 2)))
 
     def test_sign_rule_block_structure(self):
         bundle = small_bundle(n=64, reps=50, stream=("itest", "signs"))
-        x = build_process({"rule": "sign_of_B1", "blocks": 8}).realize(
-            bundle.paths, bundle.grid, SPACE1)
+        x = ProcessSpec("sign_of_B1", blocks=8).realize(bundle.paths, bundle.grid, SPACE1)
         vals = x.coef[0, 0] * x.values[:, :, 0]
         assert set(np.unique(vals)).issubset({-1.0, 0.0, 1.0})
         # value on each block equals the sign of the driver at the block start

@@ -193,6 +193,13 @@ def test_young_accepts_extra_gauge_config():
     assert res.passed
 
 
+def test_young_extra_gauges_must_be_a_list_of_gauge_mappings():
+    with pytest.raises(LabError, match=r"params\.extra_gauges must be a list"):
+        small("young", replicates=None, extra_gauges={"family": "power", "p": 3.0})
+    with pytest.raises(LabError, match=r"params\.extra_gauges\[1\] must be a gauge mapping"):
+        small("young", replicates=None, extra_gauges=[{"family": "power", "p": 3.0}, 5])
+
+
 def test_young_reads_grid_n():
     res = small("young", replicates=None, grid_n=64)
     assert res.grid_n == 64
@@ -316,6 +323,12 @@ def test_lenglart_rejects_uncertified_pair():
         small("lenglart", pairs="exponential")
     with pytest.raises(LabError, match="certified"):
         small("lenglart", pairs=("scalar", "bogus"))
+
+
+def test_lenglart_pairs_must_be_a_name_or_a_non_empty_list():
+    for pairs in (5, [], ()):
+        with pytest.raises(LabError, match=r"params\.pairs must be a certified pair name"):
+            small("lenglart", replicates=200, grid_n=64, pairs=pairs)
 
 
 def test_lenglart_single_pair_selection():
