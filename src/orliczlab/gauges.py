@@ -20,6 +20,8 @@ grids.  They are evidence, not proofs.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -112,28 +114,6 @@ def _expm1_eval() -> Callable:
     return ev
 
 
-def _table_eval(knot_t: np.ndarray, knot_y: np.ndarray) -> Callable:
-    logt = np.log(knot_t)
-    logy = np.log(knot_y)
-    slope_lo = (logy[1] - logy[0]) / (logt[1] - logt[0])
-    slope_hi = (logy[-1] - logy[-2]) / (logt[-1] - logt[-2])
-
-    def ev(t):
-        t = np.asarray(t, dtype=float)
-        out = np.zeros(t.shape)
-        pos = t > 0.0
-        x = np.log(t[pos])
-        y = np.interp(x, logt, logy)
-        below = x < logt[0]
-        above = x > logt[-1]
-        y[below] = logy[0] + slope_lo * (x[below] - logt[0])
-        y[above] = logy[-1] + slope_hi * (x[above] - logt[-1])
-        out[pos] = np.exp(y)
-        return out
-
-    return ev
-
-
 def _lambda_alpha_deriv(alpha: float) -> Callable:
     def dv(t):
         t = np.asarray(t, dtype=float)
@@ -161,18 +141,13 @@ class GrowthFunction:
     _deriv: Callable | None = field(default=None, repr=False)
     _phi_closed: Callable | None = field(default=None, repr=False)
     _complement: Callable | None = field(default=None, repr=False)
-    rv_index_closed: float | None = None
 
     def __call__(self, t):
         return self._eval(np.asarray(t, dtype=float))
 
     def derivative(self, t):
-        """Right derivative; closed form when the family has one."""
-        if self._deriv is not None:
-            return self._deriv(np.asarray(t, dtype=float))
-        t = np.asarray(t, dtype=float)
-        h = 1e-7 * np.maximum(t, 1e-3)
-        return (self._eval(t + h) - self._eval(t)) / h
+        """Right derivative, in the family's closed form."""
+        return self._deriv(np.asarray(t, dtype=float))
 
     def inverse(self, y: float) -> float:
         """Smallest t with L(t) >= y, by bisection on the monotone gauge."""
@@ -192,11 +167,6 @@ class GrowthFunction:
             else:
                 lo = mid
         return hi
-
-    def to_config(self) -> dict:
-        if self.family == "numeric":
-            raise GaugeError("derived numeric gauges have no config form")
-        return {"family": self.family, **self.params}
 
 
 def _power_phi(p: float) -> Callable:
@@ -234,22 +204,39 @@ def _power_complement(p: float, coeff: float) -> Callable:
     return build
 
 
+# Parameter names per family: the required ones, then the optional ones.
+_PARAMS = {
+    "power": (("p",), ("coeff",)),
+    "power_log": (("p",), ()),
+    "lambda_alpha": (("alpha",), ()),
+    "exp_minus_one": ((), ()),
+}
+
+
 def make_gauge(family: str, **params) -> GrowthFunction:
     """Construct a gauge from a family tag and its parameters.
 
     Families: ``power`` (coeff * t^p, coeff optional), ``power_log``
-    (t^p * log(1+t)), ``lambda_alpha`` (t^alpha * ((log 1/t)^-1 ∧ 1)),
-    ``exp_minus_one`` and ``table`` (log-linear interpolation through
-    positive knots, end slopes extrapolated).
+    (t^p * log(1+t)), ``lambda_alpha`` (t^alpha * ((log 1/t)^-1 ∧ 1)) and
+    ``exp_minus_one``.  Every parameter must be a finite real number.
     """
+    if family not in _PARAMS:
+        raise GaugeError(f"unknown gauge family {family!r}")
+    required, optional = _PARAMS[family]
+    extra = set(params) - {*required, *optional}
+    if extra:
+        raise GaugeError(f"{family} family: unknown parameters {sorted(extra)}")
+    for name in required:
+        if name not in params:
+            raise GaugeError(f"{family} family: missing parameter {name}")
+    for name, v in params.items():
+        # abs(v) <= max float also refuses NaN, and an int too large for a float
+        finite = isinstance(v, numbers.Real) and abs(v) <= sys.float_info.max
+        if isinstance(v, bool) or not finite:
+            raise GaugeError(f"{family} family: {name} must be a finite real number, got {v!r}")
+    params = {name: float(v) for name, v in params.items()}
     if family == "power":
-        extra = set(params) - {"p", "coeff"}
-        if extra:
-            raise GaugeError(f"power family: unknown parameters {sorted(extra)}")
-        if "p" not in params:
-            raise GaugeError("power family: missing exponent p")
-        p = float(params["p"])
-        coeff = float(params.get("coeff", 1.0))
+        p, coeff = params["p"], params.get("coeff", 1.0)
         if p <= 0.0:
             raise GaugeError(f"power family: exponent must be positive, got {p}")
         if coeff <= 0.0:
@@ -263,18 +250,14 @@ def make_gauge(family: str, **params) -> GrowthFunction:
             _deriv=lambda t, p=p, c=coeff: c * p * np.power(np.asarray(t, float), p - 1.0),
             _phi_closed=_power_phi(p),
             _complement=_power_complement(p, coeff),
-            rv_index_closed=p,
         )
     if family == "power_log":
-        extra = set(params) - {"p"}
-        if extra:
-            raise GaugeError(f"power_log family: unknown parameters {sorted(extra)}")
-        p = float(params.get("p", 0.0))
+        p = params["p"]
         if p <= 0.0:
             raise GaugeError(f"power_log family: exponent must be positive, got {p}")
         return GrowthFunction(
             family="power_log",
-            params={"p": p},
+            params=params,
             label=f"t^{p:g}*log(1+t)",
             _eval=_power_log_eval(p),
             _deriv=lambda t, p=p: (
@@ -282,55 +265,26 @@ def make_gauge(family: str, **params) -> GrowthFunction:
                 + np.power(np.asarray(t, float), p) / (1.0 + np.asarray(t, float))
             ),
             _phi_closed=_power_log_phi(p),
-            rv_index_closed=p + 1.0,
         )
     if family == "lambda_alpha":
-        extra = set(params) - {"alpha"}
-        if extra:
-            raise GaugeError(f"lambda_alpha family: unknown parameters {sorted(extra)}")
-        alpha = float(params.get("alpha", -1.0))
+        alpha = params["alpha"]
         if alpha < 0.0:
             raise GaugeError(f"lambda_alpha family: alpha must be >= 0, got {alpha}")
         return GrowthFunction(
             family="lambda_alpha",
-            params={"alpha": alpha},
+            params=params,
             label=f"lambda^{alpha:g}",
             _eval=_lambda_alpha_eval(alpha),
             _deriv=_lambda_alpha_deriv(alpha),
             _phi_closed=_lambda_alpha_phi(alpha),
         )
-    if family == "exp_minus_one":
-        if params:
-            raise GaugeError(f"exp_minus_one family: unknown parameters {sorted(params)}")
-        return GrowthFunction(
-            family="exp_minus_one",
-            params={},
-            label="exp(t)-1",
-            _eval=_expm1_eval(),
-            _deriv=lambda t: np.exp(np.asarray(t, float)),
-        )
-    if family == "table":
-        extra = set(params) - {"knots"}
-        if extra:
-            raise GaugeError(f"table family: unknown parameters {sorted(extra)}")
-        knots = params.get("knots")
-        if knots is None or len(knots) < 2:
-            raise GaugeError("table family: need at least two (t, value) knots")
-        arr = np.asarray(knots, dtype=float)
-        if arr.ndim != 2 or arr.shape[1] != 2:
-            raise GaugeError("table family: knots must be (t, value) pairs")
-        kt, ky = arr[:, 0], arr[:, 1]
-        if np.any(kt <= 0.0) or np.any(ky <= 0.0):
-            raise GaugeError("table family: knots must be strictly positive")
-        if np.any(np.diff(kt) <= 0.0) or np.any(np.diff(ky) < 0.0):
-            raise GaugeError("table family: knots must increase in t and not decrease in value")
-        return GrowthFunction(
-            family="table",
-            params={"knots": [[float(a), float(b)] for a, b in arr]},
-            label=f"table[{len(arr)}]",
-            _eval=_table_eval(kt, ky),
-        )
-    raise GaugeError(f"unknown gauge family {family!r}")
+    return GrowthFunction(
+        family="exp_minus_one",
+        params={},
+        label="exp(t)-1",
+        _eval=_expm1_eval(),
+        _deriv=lambda t: np.exp(np.asarray(t, float)),
+    )
 
 
 def gauge_from_config(cfg: dict) -> GrowthFunction:
@@ -340,15 +294,6 @@ def gauge_from_config(cfg: dict) -> GrowthFunction:
     cfg = dict(cfg)
     family = cfg.pop("family")
     return make_gauge(family, **cfg)
-
-
-def _numeric_gauge(ev: Callable, label: str, source: str) -> GrowthFunction:
-    return GrowthFunction(
-        family="numeric",
-        params={"source": source},
-        label=label,
-        _eval=ev,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +447,8 @@ def complementary_gauge(gauge: GrowthFunction) -> GrowthFunction:
             vals[idx] = total
         return vals.reshape(t.shape) if t.shape else np.float64(vals[0])
 
-    return _numeric_gauge(ev, label=f"complement({gauge.label})", source=gauge.label)
+    return GrowthFunction(family="numeric", params={"source": gauge.label},
+                          label=f"complement({gauge.label})", _eval=ev)
 
 
 def young_gap(gauge: GrowthFunction, comp: GrowthFunction, s, t):
@@ -516,36 +462,32 @@ def young_gap(gauge: GrowthFunction, comp: GrowthFunction, s, t):
 # kappa integral
 
 
-def kappa_probe(gauge: GrowthFunction) -> tuple[float | None, str]:
+def kappa_probe(gauge: GrowthFunction) -> float | None:
     """Worst ratio of int_0^1 L(s t)/s^2 ds to L(t) over 13 geometric t in [1e-3, 1e3].
 
     The integral is computed under s = e^-u, doubling the upper limit until
     the last chunk contributes less than 1e-8 of the running total.
-    Returns (None, diagnostic) when the integral fails to converge by u = 512.
+    Returns None when the integral fails to converge by u = 512, or when
+    the gauge vanishes at a probe t.
     """
     worst = 0.0
     for t in np.geomspace(1e-3, 1e3, 13):
         integrand = lambda u, t=t: float(gauge(t * math.exp(-u))) * math.exp(u)
         total = 0.0
         lo, hi = 0.0, 4.0
-        converged = False
         while hi <= 512.0:
             chunk, _ = _sint.quad(integrand, lo, hi, epsabs=1e-12, epsrel=1e-10, limit=200)
             total += chunk
             if chunk <= 1e-8 * total and lo > 0.0:
-                converged = True
                 break
             lo, hi = hi, hi * 2.0
-        if not converged:
-            return None, (
-                f"kappa integral did not converge for t={t:g}: upper limit 512.0 reached"
-                " with a non-vanishing tail"
-            )
+        else:
+            return None
         denom = float(gauge(np.float64(t)))
         if denom <= 0.0:
-            return None, f"kappa integral: gauge vanishes at probe t={t:g}"
+            return None
         worst = max(worst, total / denom)
-    return worst, "ok"
+    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -560,34 +502,24 @@ class GaugeClassReport:
     """Empirical class flags for one gauge.
 
     ``kappa_A2`` is present only when the strict flags admit it;
-    ``kappa_probe`` always carries the measured integral when it converges.
+    ``kappa_value`` always carries the measured integral when it converges.
     ``a2_operational`` is the inequality lab's admission gate: vanishing
     scaling plus a convergent kappa integral plus N-like behaviour at
     decade scale (local kinks that vanish under equivalent rescaling do
     not disqualify a gauge there).
     """
 
-    gauge_label: str
     is_A0: bool
     c_lambda_worst: float
     is_A1: bool
-    phi_at_smallest_s: float
     is_N_function: bool
     kappa_A2: float | None
-    kappa_diagnostic: str
     kappa_value: float | None
     a2_operational: bool
-    rv_index: float | None
 
 
 def _probe_grid() -> np.ndarray:
     return np.geomspace(_FLOOR, _CEIL, _DECADES * _PER_DECADE + 1)
-
-
-def _finite_c_lambda(gauge: GrowthFunction, lam: float, t: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore", invalid="ignore"):
-        ratio = gauge(lam * t) / gauge(t)
-    return ratio
 
 
 def _is_a0(gauge: GrowthFunction):
@@ -606,7 +538,8 @@ def _is_a0(gauge: GrowthFunction):
     stable = True
     for lam in _LAMBDAS:
         sub = t[t * lam <= _CEIL]
-        ratio = _finite_c_lambda(gauge, lam, sub)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ratio = gauge(lam * sub) / gauge(sub)
         if not np.all(np.isfinite(ratio)):
             return False, math.inf
         worst = max(worst, float(ratio.max()))
@@ -617,13 +550,12 @@ def _is_a0(gauge: GrowthFunction):
     return bool(vanishes and stable), worst
 
 
-def _phi_decay(gauge: GrowthFunction):
+def _phi_decay(gauge: GrowthFunction) -> bool:
     """phi decreasing over s = 2^-1 .. 2^-14 and at most 0.05 at the end."""
     scales = 0.5 ** np.arange(1, 15)
     vals = np.array([phi_of(gauge, s) for s in scales])
     decreasing = np.all(np.diff(vals) <= 1e-9 * np.maximum(vals[:-1], 1e-300))
-    smallest = float(vals[-1])
-    return bool(decreasing and smallest <= 0.05), smallest
+    return bool(decreasing and vals[-1] <= 0.05)
 
 
 def _diverges(gauge: GrowthFunction) -> bool:
@@ -664,47 +596,23 @@ def _convex_decade_chords(gauge: GrowthFunction) -> bool:
     return bool(np.all(fm <= interp * (1.0 + 1e-9)))
 
 
-def _rv_slope(gauge: GrowthFunction) -> float | None:
-    t = np.geomspace(_FLOOR, _FLOOR * 100.0, 9)
-    with np.errstate(divide="ignore"):
-        x = np.log(t)
-        y = np.log(gauge(t))
-    if not np.all(np.isfinite(y)):
-        return None
-    slope = np.polyfit(x, y, 1)[0]
-    return float(slope)
-
-
 def classify_gauge(gauge: GrowthFunction) -> GaugeClassReport:
     """Empirical class report for a gauge (finite-probe evidence, not proof)."""
     is_a0, c_worst = _is_a0(gauge)
-    if is_a0:
-        decay_ok, smallest = _phi_decay(gauge)
-        is_a1 = decay_ok and _diverges(gauge)
-    else:
-        smallest = math.nan
-        is_a1 = False
+    is_a1 = is_a0 and _phi_decay(gauge) and _diverges(gauge)
     is_n = _is_n_function(gauge)
     wide_n = bool(_n_limits(gauge) and _convex_decade_chords(gauge))
-    kappa_val, diag = kappa_probe(gauge) if is_a0 else (None, "kappa probe skipped: not moderately increasing")
+    kappa_val = kappa_probe(gauge) if is_a0 else None
     kappa_a2 = kappa_val if (kappa_val is not None and is_a1 and is_n) else None
     a2_op = bool(is_a1 and wide_n and kappa_val is not None)
-    if gauge.rv_index_closed is not None:
-        rv = float(gauge.rv_index_closed)
-    else:
-        rv = _rv_slope(gauge)
     return GaugeClassReport(
-        gauge_label=gauge.label,
         is_A0=is_a0,
         c_lambda_worst=c_worst,
         is_A1=is_a1,
-        phi_at_smallest_s=smallest,
         is_N_function=is_n,
         kappa_A2=kappa_a2,
-        kappa_diagnostic=diag,
         kappa_value=kappa_val,
         a2_operational=a2_op,
-        rv_index=rv,
     )
 
 

@@ -65,13 +65,14 @@ from __future__ import annotations
 import numbers
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from itertools import chain, islice
 
 import numpy as np
 
 from .gauges import (
     GrowthFunction,
+    NotNFunctionError,
     classify_gauge,
     complementary_gauge,
     gauge_from_config,
@@ -94,7 +95,6 @@ from .stats import ExperimentResult, McEstimate, RatioReport, RunningMoments
 
 __all__ = [
     "LabError",
-    "QuasiMetric",
     "derive_moment_constant",
     "good_lambda_bound",
     "lenglart_constant",
@@ -158,39 +158,6 @@ def lenglart_constant(q: float, kappa: float, gamma: float, p_phi: float) -> flo
         raise LabError("no feasible eps for the stopped-supremum constant")
     values = (1.0 / eps[feasible]) ** p_phi / denom[feasible]
     return float(values.min())
-
-
-# ---------------------------------------------------------------------------
-# quasi-metrics
-
-
-@dataclass(frozen=True)
-class QuasiMetric:
-    """A symmetric point-separating distance with a relaxed triangle constant."""
-
-    kind: str  # "abs" or "modular"
-    gamma: float
-    space: DiscreteMeasureSpace | None = None
-    gauge: GrowthFunction | None = None
-
-    @staticmethod
-    def absolute() -> "QuasiMetric":
-        return QuasiMetric(kind="abs", gamma=1.0)
-
-    @staticmethod
-    def modular_difference(space: DiscreteMeasureSpace, gauge: GrowthFunction) -> "QuasiMetric":
-        """rho(f, g) = modular of f - g; the triangle constant is phi(2)."""
-        return QuasiMetric(
-            kind="modular", gamma=float(phi_of(gauge, 2.0)), space=space, gauge=gauge
-        )
-
-    def distance(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        if self.kind == "abs":
-            return np.abs(np.asarray(x, dtype=float) - np.asarray(y, dtype=float))
-        if self.kind == "modular":
-            diff = np.abs(np.asarray(x, dtype=float) - np.asarray(y, dtype=float))
-            return modular_of_norms(diff, self.space.weights, self.gauge)
-        raise LabError(f"unknown quasi-metric kind {self.kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -407,9 +374,10 @@ def run_young(cfg) -> ExperimentResult:
         candidates.append((f"extra{i}:{gauge.label}", gauge))
     reports = []
     for name, gauge in candidates:
-        if not classify_gauge(gauge).is_N_function:
+        try:
+            comp = complementary_gauge(gauge)
+        except NotNFunctionError:  # Young's inequality is stated for N-functions
             continue
-        comp = complementary_gauge(gauge)
         gaps = young_gap(gauge, comp, s_grid[:, None], t_grid[None, :])
         reports.append(_exact_row(f"young-gap:{name}", -float(gaps.min()), 1.0, 1e-9, grid_pts,
                                   {"min_gap": float(gaps.min())}))
@@ -742,7 +710,7 @@ def _lenglart_orlicz(seed, replicates, params):
     grid = PathGrid(horizon, n_master)
     space = DiscreteMeasureSpace(params["weights"])
     gauge = get_gauge("power_2")
-    rho1 = QuasiMetric.modular_difference(space, gauge)
+    gamma1 = phi_of(gauge, 2.0)  # triangle constant of the modular difference
     gamma2 = 2.0  # the clock metric sums weighted absolute differences
     spec = ProcessSpec("two_coord_mix")
     threshold = float(params["clock_threshold"])
@@ -765,12 +733,18 @@ def _lenglart_orlicz(seed, replicates, params):
         i_tau = _take_at(integral, tau)
         eta_tau = _take_at(eta, tau)
         for w, sigma in windows.items():
-            rho_diff = rho1.distance(i_tau, _take_at(integral, sigma))
+            rho_diff = modular_of_norms(np.abs(i_tau - _take_at(integral, sigma)), space.weights,
+                                        gauge)
             clock_diff = ((eta_tau - _take_at(eta, sigma)) @ space.weights)
             yield ("hypothesis", w), (rho_diff, clock_diff, 1.0)
         yield "conclusion", (run_mod[:, -1], clock_path[:, -1], 4.0)
         for k, (t_stop, idx) in enumerate(zip(sweep_times, sweep_idx)):
             yield ("sweep", t_stop), (run_mod[:, k], clock_path[:, idx], 4.0)
+        one = sweep_idx[1]
+        for c in (0.5, 2.0):  # X -> cX through the T = 1 sweep
+            scaled = modular_of_norms(c * np.abs(integral[:, : one + 1]), space.weights, gauge)
+            yield ("scaled", c), (running_abs_max(scaled, [one])[:, 0],
+                                  modular_of_norms(c * np.sqrt(eta[:, one]), space.weights, gauge))
 
     tally = _execute(seed, "lenglart_orlicz", 2, grid, replicates, 512, kernel)
 
@@ -779,18 +753,17 @@ def _lenglart_orlicz(seed, replicates, params):
     if not all(row.passed for row in reports):
         return reports, False
 
-    c_cert = lenglart_constant(1.0, 2.0 * gamma2, rho1.gamma, 1.0)
+    c_cert = lenglart_constant(1.0, 2.0 * gamma2, gamma1, 1.0)
     reports.append(tally.row("conclusion:orlicz:doob", "conclusion", 4.0, n_master))
     reports.append(tally.row("conclusion:orlicz:certified", "conclusion", c_cert, n_master,
-                             {"constant": c_cert, "gamma1": rho1.gamma}))
+                             {"constant": c_cert, "gamma1": gamma1}))
     reports += [tally.row(f"sweep:orlicz:T{t}", ("sweep", t), 4.0, n_master) for t in sweep_times]
     ratios = {t: row.ratio for t, row in zip(sweep_times, reports[-len(sweep_times):])}
     reports.append(_spread_row("sweep:orlicz:spread", ratios.values(), stability_factor,
                                n_master))
-    # the square gauge multiplies both sums by c^2 under X -> cX
-    lhs, rhs = tally.sides(("sweep", 1.0))
-    scaled = [(c**2 * lhs.mean) / (c**2 * rhs.mean) for c in (0.5, 2.0)]
-    reports.append(_scaling_row("scaling-exact:orlicz", scaled, ratios[1.0], n_master))
+    reports.append(_scaling_row("scaling-exact:orlicz",
+                                [tally.ratio(("scaled", c)) for c in (0.5, 2.0)], ratios[1.0],
+                                n_master))
     return reports, True
 
 

@@ -117,16 +117,15 @@ def test_power_gauge_oracle_suite():
             family=normalized.family, params=normalized.params, label=normalized.label,
             _eval=normalized._eval, _deriv=normalized._deriv,
             _phi_closed=normalized._phi_closed, _complement=None,
-            rv_index_closed=normalized.rv_index_closed,
         )
         comp = G.complementary_gauge(stripped)
         for t in t_grid:
             want = t**q / q
             if abs(float(comp(t)) - want) > 1e-4 * want:
                 failures.append(f"complement p={p} t={t}: {float(comp(t))} vs {want}")
-        kappa, diag = G.kappa_probe(plain)
-        if diag != "ok" or abs(kappa - 1.0 / (p - 1.0)) > 1e-4 / (p - 1.0):
-            failures.append(f"kappa p={p}: {kappa} ({diag})")
+        kappa = G.kappa_probe(plain)
+        if kappa is None or abs(kappa - 1.0 / (p - 1.0)) > 1e-4 / (p - 1.0):
+            failures.append(f"kappa p={p}: {kappa}")
         space = DiscreteMeasureSpace([1.0, 2.0, 0.5])
         rng = substream(5, "acceptance-lux", p)
         for _ in range(3):

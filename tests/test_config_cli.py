@@ -1,6 +1,7 @@
 """Tests for config parsing, CSV reporting, and the CLI verbs."""
 
 import csv
+import math
 from pathlib import Path
 
 import pytest
@@ -60,6 +61,13 @@ def test_config_bad_types_are_named():
         ExperimentConfig(experiment="young", grid_n=1)
     with pytest.raises(ConfigError, match="params"):
         ExperimentConfig(experiment="young", params=[1, 2])
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, 10**400, True, "2", "abc", [1, 2]])
+def test_config_rejects_a_malformed_gauge_parameter(value):
+    # refused at parse time, so young never drops a NaN gauge from its rows
+    with pytest.raises(ConfigError, match=r"params\.extra_gauges\[0\]: power family: p must be"):
+        ExperimentConfig("young", params={"extra_gauges": [{"family": "power", "p": value}]})
 
 
 def test_config_gauge_typo_names_field():

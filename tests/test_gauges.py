@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -39,6 +40,22 @@ def test_power_rejects_bad_params():
         G.make_gauge("powr", p=2.0)
 
 
+@pytest.mark.parametrize("family, name", [("power", "p"), ("power_log", "p"),
+                                          ("lambda_alpha", "alpha")])
+def test_missing_parameter_is_named(family, name):
+    with pytest.raises(G.GaugeError, match=f"{family} family: missing parameter {name}$"):
+        G.make_gauge(family)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, 10**400, True, "2", "abc", [1, 2]])
+@pytest.mark.parametrize("family, name", [("power", "p"), ("power", "coeff"),
+                                          ("power_log", "p"), ("lambda_alpha", "alpha")])
+def test_parameter_must_be_a_finite_real(family, name, value):
+    params = {"p": 2.0, name: value} if family != "lambda_alpha" else {name: value}
+    with pytest.raises(G.GaugeError, match=f"{family} family: {name} must be a finite real"):
+        G.make_gauge(family, **params)
+
+
 def test_lambda_alpha_conventions():
     for alpha in (0.0, 1.0, 2.0):
         g = G.make_gauge("lambda_alpha", alpha=alpha)
@@ -77,33 +94,6 @@ def test_lambda_zero_is_bounded():
     g = G.make_gauge("lambda_alpha", alpha=0.0)
     t = np.geomspace(1e-10, 1e10, 101)
     assert np.all(g(t) <= 1.0 + 1e-15)
-
-
-def test_table_gauge_interpolates_loglinear():
-    g = G.make_gauge("table", knots=[[0.1, 0.01], [1.0, 1.0], [10.0, 100.0]])
-    # exact at knots, geometric midpoint in between (slope 2 in log-log)
-    assert_allclose(g([0.1, 1.0, 10.0]), [0.01, 1.0, 100.0], rtol=1e-12)
-    assert float(g(np.float64(math.sqrt(0.1)))) == pytest.approx(0.1, rel=1e-12)
-    # end-slope extrapolation keeps the power-law tails
-    assert float(g(np.float64(0.01))) == pytest.approx(1e-4, rel=1e-10)
-    assert float(g(np.float64(100.0))) == pytest.approx(1e4, rel=1e-10)
-
-
-def test_table_gauge_rejects_bad_knots():
-    with pytest.raises(G.GaugeError):
-        G.make_gauge("table", knots=[[1.0, 1.0]])
-    with pytest.raises(G.GaugeError):
-        G.make_gauge("table", knots=[[1.0, 1.0], [0.5, 2.0]])
-    with pytest.raises(G.GaugeError):
-        G.make_gauge("table", knots=[[0.5, -1.0], [1.0, 1.0]])
-
-
-def test_config_round_trip():
-    for cfg in G.REGISTRY.values():
-        g = G.gauge_from_config(cfg)
-        again = G.gauge_from_config(g.to_config())
-        t = np.geomspace(1e-4, 1e4, 33)
-        assert_allclose(again(t), g(t), rtol=0.0)
 
 
 def test_registry_gauges_vanish_at_zero():
@@ -247,11 +237,7 @@ def test_complementary_plain_power_closed_form(p):
 def test_complementary_quadrature_route_matches_closed():
     # same gauge, closed hook removed: right-inverse bisection + quadrature
     g = G.make_gauge("power", p=3.0, coeff=1.0 / 3.0)
-    stripped = G.GrowthFunction(
-        family=g.family, params=g.params, label=g.label,
-        _eval=g._eval, _deriv=g._deriv, _phi_closed=g._phi_closed,
-        _complement=None, rv_index_closed=g.rv_index_closed,
-    )
+    stripped = dataclasses.replace(g, _complement=None)
     comp = G.complementary_gauge(stripped)
     t = np.geomspace(0.1, 10.0, 13)
     assert_allclose(comp(t), t**1.5 / 1.5, rtol=1e-6)
@@ -314,20 +300,15 @@ def test_young_equality_on_derivative_line():
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 def test_kappa_power_closed_form(p):
     g = G.make_gauge("power", p=p)
-    val, diag = G.kappa_probe(g)
-    assert diag == "ok"
-    assert val == pytest.approx(1.0 / (p - 1.0), rel=1e-4)
+    assert G.kappa_probe(g) == pytest.approx(1.0 / (p - 1.0), rel=1e-4)
 
 
 def test_kappa_diverges_for_lambda1():
-    val, diag = G.kappa_probe(G.make_gauge("lambda_alpha", alpha=1.0))
-    assert val is None
-    assert "converge" in diag
+    assert G.kappa_probe(G.make_gauge("lambda_alpha", alpha=1.0)) is None
 
 
 def test_kappa_converges_for_lambda2():
-    val, diag = G.kappa_probe(G.make_gauge("lambda_alpha", alpha=2.0))
-    assert diag == "ok"
+    val = G.kappa_probe(G.make_gauge("lambda_alpha", alpha=2.0))
     assert val == pytest.approx(1.0, abs=0.05)
 
 
@@ -335,7 +316,6 @@ def test_classification_matrix():
     reports = {name: G.classify_gauge(g) for name, g in G.registry_gauges().items()}
     assert reports["power_2"].is_A0 and reports["power_2"].is_A1
     assert reports["power_2"].kappa_A2 == pytest.approx(1.0, rel=1e-4)
-    assert reports["power_2"].rv_index == pytest.approx(2.0)
     assert reports["lambda_0"].is_A0 and not reports["lambda_0"].is_A1
     assert reports["lambda_1"].is_A1 and not reports["lambda_1"].a2_operational
     assert reports["lambda_2"].is_A1 and reports["lambda_2"].a2_operational
@@ -347,9 +327,8 @@ def test_classification_matrix():
 
 def test_classification_invariants():
     gauges = dict(G.registry_gauges())
-    gauges["table_power"] = G.make_gauge(
-        "table", knots=[[10.0**k, 10.0 ** (2 * k)] for k in range(-6, 7)]
-    )
+    # a square without closed forms: the classifier takes every numeric route
+    gauges["numeric_square"] = G.GrowthFunction("numeric", {}, "t^2", _eval=np.square)
     for name, g in gauges.items():
         r = G.classify_gauge(g)
         if r.is_A1:
@@ -358,18 +337,3 @@ def test_classification_invariants():
             assert r.is_A1 and r.is_N_function, name
         if r.is_A0:
             assert math.isfinite(r.c_lambda_worst), name
-
-
-def test_table_power_classifies_like_power():
-    g = G.make_gauge("table", knots=[[10.0**k, 10.0 ** (2 * k)] for k in range(-6, 7)])
-    r = G.classify_gauge(g)
-    assert r.is_A0 and r.is_A1 and r.is_N_function
-    assert r.kappa_A2 == pytest.approx(1.0, rel=1e-3)
-    assert r.rv_index == pytest.approx(2.0, abs=1e-6)
-
-
-def test_rv_index_estimates():
-    assert G.classify_gauge(G.make_gauge("power", p=1.5)).rv_index == pytest.approx(1.5)
-    lam = G.classify_gauge(G.make_gauge("lambda_alpha", alpha=1.0)).rv_index
-    assert lam == pytest.approx(1.0, abs=0.1)
-    assert G.classify_gauge(G.make_gauge("power_log", p=2.0)).rv_index == pytest.approx(3.0)

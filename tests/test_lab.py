@@ -12,11 +12,10 @@ from numpy.testing import assert_allclose
 from orliczlab import lab
 from orliczlab._rng import substream
 from orliczlab.config import ExperimentConfig
-from orliczlab.gauges import get_gauge
+from orliczlab.gauges import get_gauge, phi_of
 from orliczlab.lab import (
     EXPERIMENTS,
     LabError,
-    QuasiMetric,
     _max_to_hit,
     _modular_paths,
     _execute,
@@ -85,30 +84,21 @@ def test_lenglart_constant_closed_cases():
 
 
 def test_quasimetric_axioms_on_random_triples():
+    # the Lenglart Orlicz pair's rho1(x, y) = modular of |x - y|, with
+    # triangle constant gamma1 = phi(2)
     space = DiscreteMeasureSpace([1.0, 2.0, 0.5])
-    metrics = [
-        QuasiMetric.absolute(),
-        QuasiMetric.modular_difference(space, get_gauge("power_2")),
-        QuasiMetric.modular_difference(space, get_gauge("lambda_2")),
-    ]
     rng = substream(11, "quasimetric")
     x, y, z = rng.normal(scale=2.0, size=(3, 1000, space.n_atoms))
-    for metric in metrics:
-        dxy = metric.distance(x, y)
-        dyx = metric.distance(y, x)
-        dxx = metric.distance(x, x)
-        dxz = metric.distance(x, z)
-        dzy = metric.distance(z, y)
-        assert np.array_equal(dxy, dyx)  # symmetry, exact
-        assert np.all(dxx == 0.0)        # identity, exact
+    for name in ("power_2", "lambda_2"):
+        gauge = get_gauge(name)
+        gamma = phi_of(gauge, 2.0)
+        rho = lambda a, b: modular_of_norms(np.abs(a - b), space.weights, gauge)
+        dxy = rho(x, y)
+        assert np.array_equal(dxy, rho(y, x))  # symmetry, exact
+        assert np.all(rho(x, x) == 0.0)        # identity, exact
         assert np.all(dxy >= 0.0)
-        assert np.all(dxy <= metric.gamma * (dxz + dzy) + 1e-9)
-
-
-def test_quasimetric_gamma_values():
-    space = DiscreteMeasureSpace([1.0])
-    assert QuasiMetric.absolute().gamma == 1.0
-    assert QuasiMetric.modular_difference(space, get_gauge("power_2")).gamma == 4.0
+        assert np.all(dxy <= gamma * (rho(x, z) + rho(z, y)) + 1e-9)
+    assert phi_of(get_gauge("power_2"), 2.0) == 4.0
 
 
 # ---------------------------------------------------------------------------
@@ -701,12 +691,15 @@ def test_scaling_rows_fail_on_a_non_homogeneous_kernel(monkeypatch):
     0.5x) inputs, so a kernel that is not homogeneous breaks them."""
     from orliczlab.paths import quadratic_variation, running_abs_max
 
-    res = small("lenglart", replicates=1000, grid_n=256, pairs="scalar")
-    assert {r.label: r for r in res.reports}["scaling-exact:scalar"].passed
-    monkeypatch.setattr(lab, "running_abs_max", lambda v, read: running_abs_max(v, read) + 1e-3)
-    res = small("lenglart", replicates=1000, grid_n=256, pairs="scalar")
-    row = {r.label: r for r in res.reports}["scaling-exact:scalar"]
-    assert not row.passed and row.extras["scaling_exact"] is False
+    for pair in ("scalar", "orlicz"):
+        sizes = dict(replicates=1000, grid_n=256, pairs=pair, orlicz_grid_n=256)
+        res = small("lenglart", **sizes)
+        assert {r.label: r for r in res.reports}[f"scaling-exact:{pair}"].passed
+        with monkeypatch.context() as m:
+            m.setattr(lab, "running_abs_max", lambda v, read: running_abs_max(v, read) + 1e-3)
+            res = small("lenglart", **sizes)
+        row = {r.label: r for r in res.reports}[f"scaling-exact:{pair}"]
+        assert not row.passed and row.extras["scaling_exact"] is False
     monkeypatch.setattr(lab, "quadratic_variation", lambda inc: quadratic_variation(inc) + 1e-3)
     res = small("bdg_scalar", replicates=1000, grid_n=256)
     upper = {r.label: r for r in res.reports}["bdg-upper:bm"]

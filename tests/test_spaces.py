@@ -112,7 +112,8 @@ def test_luxemburg_evaluates_each_scale_once(space4):
 
 def test_luxemburg_upper_bracket_exhaustion():
     # gauge bounded below away from zero: modular can never reach 1
-    gauge = G.make_gauge("table", knots=[[0.5, 2.0], [1.0, 2.0], [2.0, 4.0]])
+    gauge = G.GrowthFunction(
+        "floor", {}, "2 ∨ 2t", _eval=lambda t: np.where(t > 0.0, np.maximum(2.0, 2.0 * t), 0.0))
     sp = S.DiscreteMeasureSpace(np.array([1.0, 1.0]))
     with pytest.raises(G.BracketError):
         lux(np.ones(2), sp, gauge)
@@ -212,8 +213,12 @@ def _lux_rows():
     return np.vstack([spread, np.zeros((1, 4)), light])
 
 
-# the four gauge-numerics gauges, and a table gauge flat at 2 on [0.5, 1.6]:
-# the row carried by the 0.5-weight atom then has modular exactly 1 on a
+def _flat_table(t):
+    return np.where(t < 0.5, 8.0 * t * t, np.where(t <= 1.6, 2.0, 1.25 * t))
+
+
+# the four gauge-numerics gauges, and a gauge flat at 2 on [0.5, 1.6]: the
+# row carried by the 0.5-weight atom then has modular exactly 1 on a
 # stretch of scales, where stopping before the first bisection step would
 # return the bracket end instead of the norm
 BATCH_GAUGES = {
@@ -221,7 +226,7 @@ BATCH_GAUGES = {
     "power_2": G.get_gauge("power_2"),
     "power_log_2": G.get_gauge("power_log_2"),
     "lambda_2": G.get_gauge("lambda_2"),
-    "flat_table": G.make_gauge("table", knots=[[0.1, 0.1], [0.5, 2.0], [1.6, 2.0], [3.2, 4.0]]),
+    "flat_table": G.GrowthFunction("flat", {}, "flat at 2 on [0.5, 1.6]", _eval=_flat_table),
 }
 
 
