@@ -98,7 +98,14 @@ def test_quasimetric_axioms_on_random_triples():
         assert np.all(rho(x, x) == 0.0)        # identity, exact
         assert np.all(dxy >= 0.0)
         assert np.all(dxy <= gamma * (rho(x, z) + rho(z, y)) + 1e-9)
-    assert phi_of(get_gauge("power_2"), 2.0) == 4.0
+
+
+def test_quasimetric_gamma_values():
+    # the modular difference of t^2 has triangle constant gamma1 = phi(2) = 4;
+    # with the clock's gamma2 = 2 it certifies the Orlicz pair at 1024
+    gamma1 = phi_of(get_gauge("power_2"), 2.0)
+    assert gamma1 == 4.0
+    assert_allclose(lenglart_constant(1.0, 2.0 * 2.0, gamma1, 1.0), 1024.0, rtol=1e-3)
 
 
 # ---------------------------------------------------------------------------
