@@ -74,8 +74,9 @@ class BracketError(RuntimeError):
 
 
 def _power_eval(p: float, coeff: float) -> Callable:
-    def ev(t):
-        return coeff * np.power(t, p)
+    def ev(t):  # coeff = 1 is exact, so that product is skipped
+        out = np.power(t, p)
+        return out if coeff == 1.0 else coeff * out
 
     return ev
 
@@ -146,7 +147,8 @@ class GrowthFunction:
         return self._eval(np.asarray(t, dtype=float))
 
     def derivative(self, t):
-        """Right derivative, in the family's closed form."""
+        """Right derivative: the family's closed form, or for a quadrature
+        complement the right inverse of the source gauge's derivative."""
         return self._deriv(np.asarray(t, dtype=float))
 
     def inverse(self, y: float) -> float:
@@ -447,8 +449,10 @@ def complementary_gauge(gauge: GrowthFunction) -> GrowthFunction:
             vals[idx] = total
         return vals.reshape(t.shape) if t.shape else np.float64(vals[0])
 
+    # the complement's right derivative is the right inverse it integrates
     return GrowthFunction(family="numeric", params={"source": gauge.label},
-                          label=f"complement({gauge.label})", _eval=ev)
+                          label=f"complement({gauge.label})", _eval=ev,
+                          _deriv=np.vectorize(atilde, otypes=[float]))
 
 
 def young_gap(gauge: GrowthFunction, comp: GrowthFunction, s, t):

@@ -71,7 +71,6 @@ from itertools import chain, islice
 import numpy as np
 
 from .gauges import (
-    GrowthFunction,
     NotNFunctionError,
     classify_gauge,
     complementary_gauge,
@@ -341,6 +340,10 @@ def _stability_rows(prefix, ratio_fine, ratio_coarse, tol, grid_n) -> list:
     ]
 
 
+# Largest over smallest ratio a sweep of stopping times (and scales) may span.
+_SPREAD_FACTOR = 10.0
+
+
 def _spread_row(label, ratios, factor, grid_n, extras=None) -> RatioReport:
     """Largest over smallest of a sweep's ratios, within ``factor``."""
     return _exact_row(label, max(ratios), min(ratios), factor, grid_n, extras)
@@ -386,7 +389,7 @@ def run_young(cfg) -> ExperimentResult:
             eq_gaps = young_gap(gauge, comp, s_grid, gauge.derivative(s_grid))
             reports.append(_exact_row("young-equality:half_square",
                                       float(np.abs(eq_gaps).max()), 1.0, 1e-6, grid_pts))
-    return ExperimentResult("young", grid_pts, reports)
+    return ExperimentResult("young", reports)
 
 
 def run_moment_constant(cfg) -> ExperimentResult:
@@ -405,7 +408,7 @@ def run_moment_constant(cfg) -> ExperimentResult:
                     reports.append(_exact_row(
                         f"feasibility:line{line}:beta{beta}:delta{delta}:p{p}",
                         c_delta, beta ** (-p), 1.0, 0, extras))
-    return ExperimentResult("moment_constant", 0, reports)
+    return ExperimentResult("moment_constant", reports)
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +453,7 @@ def run_isometry(cfg) -> ExperimentResult:
         base = f"{rule}:{stop}:atom{a}@{tag}"
         reports += [tally.row(f"isometry-{d}:{base}", key, 1.0, tally.steps[tag],
                               reverse=d == "rev") for d in ("fwd", "rev")]
-    return ExperimentResult("isometry", n, reports, notes={"replicates": replicates})
+    return ExperimentResult("isometry", reports, notes={"replicates": replicates})
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +510,7 @@ def run_good_lambda(cfg) -> ExperimentResult:
             reports.append(tally.row(f"moment-p{p}-rev@{tag}", key,
                                      derive_moment_constant(2.0, 0.1, p, c2), tally.steps[tag],
                                      reverse=True))
-    return ExperimentResult("good_lambda", n, reports, notes={"replicates": replicates})
+    return ExperimentResult("good_lambda", reports, notes={"replicates": replicates})
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +546,7 @@ def run_bdg_scalar(cfg) -> ExperimentResult:
         reports.append(tally.row(f"bdg-upper:{d}", (d, 1.0), 4.0, n, extras))
         reports.append(tally.row(f"bdg-lower:{d}", (d, 1.0), 1.0, n, {"ratio": ratio},
                                  reverse=True))
-    return ExperimentResult("bdg_scalar", n, reports, notes={"replicates": replicates})
+    return ExperimentResult("bdg_scalar", reports, notes={"replicates": replicates})
 
 
 # ---------------------------------------------------------------------------
@@ -597,7 +600,7 @@ def run_doob_orlicz(cfg) -> ExperimentResult:
     notes = {"dominated_pointwise_violations": violations}
     if violations > 0 or not all(row.passed for row in reports):
         notes["audit_failed"] = True
-        return ExperimentResult("doob_orlicz", n, reports, notes)
+        return ExperimentResult("doob_orlicz", reports, notes)
 
     for key in tally.keys():
         kind, tag, pname, gname = key
@@ -607,7 +610,7 @@ def run_doob_orlicz(cfg) -> ExperimentResult:
                                      bounds.get((pname, gname), 1.0), tally.steps[tag]))
     ratios = {tag: tally.ratio(("conclusion", tag, "doob", "lambda_2")) for tag in ("4n", "n")}
     reports.extend(_stability_rows("stability:doob:lambda_2", ratios["4n"], ratios["n"], 0.10, n))
-    return ExperimentResult("doob_orlicz", n, reports, notes)
+    return ExperimentResult("doob_orlicz", reports, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -630,13 +633,19 @@ def run_lenglart(cfg) -> ExperimentResult:
         if p not in CERTIFIED_PAIRS:
             raise LabError(f"lenglart: params.pairs names the uncertified pair {p!r};"
                            f" certified: {', '.join(CERTIFIED_PAIRS)}")
+    # each size is read by one pair only; unread, it would be silently ignored
+    for pair, size, value in (("scalar", "grid_n", cfg.grid_n),
+                              ("orlicz", "params.orlicz_grid_n", cfg.params.get("orlicz_grid_n"))):
+        if value is not None and pair not in pair_list:
+            raise LabError(f"lenglart: {size} is read by the {pair} pair only, which"
+                           f" params.pairs does not select; leave it unset")
     reports, audit_ok = [], True
     for pair in (p for p in CERTIFIED_PAIRS if p in pair_list):
         rows, ok = (_lenglart_scalar(cfg.seed, replicates, n, params) if pair == "scalar"
                     else _lenglart_orlicz(cfg.seed, replicates, params))
         reports.extend(rows)
         audit_ok = audit_ok and ok
-    return ExperimentResult("lenglart", n, reports, {} if audit_ok else {"audit_failed": True})
+    return ExperimentResult("lenglart", reports, {} if audit_ok else {"audit_failed": True})
 
 
 def _lenglart_scalar(seed, replicates, n, params):
@@ -646,7 +655,6 @@ def _lenglart_scalar(seed, replicates, n, params):
     lambdas = np.asarray(params["lambdas"], dtype=float)
     eps = 0.25
     sweep_times = (0.5, 1.0, 2.0)
-    stability_factor = float(params["stability_factor"])
     c_star = lenglart_constant(2.0, 1.0, 1.0, 2.0)
     sweep_idx = [grid.index_of(t) for t in sweep_times]
 
@@ -697,7 +705,7 @@ def _lenglart_scalar(seed, replicates, n, params):
     ratios = {t: tally.ratio(("sweep", t)) for t in sweep_times}
     reports += [tally.row(f"sweep:scalar:T{t}", ("sweep", t), c_star, n, {"ratio": r})
                 for t, r in ratios.items()]
-    reports.append(_spread_row("sweep:scalar:spread", ratios.values(), stability_factor, n))
+    reports.append(_spread_row("sweep:scalar:spread", ratios.values(), _SPREAD_FACTOR, n))
     reports.append(_scaling_row("scaling-exact:scalar",
                                 [tally.ratio(("scaled", c)) for c in (0.5, 2.0)], ratios[1.0], n))
     return reports, True
@@ -716,7 +724,6 @@ def _lenglart_orlicz(seed, replicates, params):
     threshold = float(params["clock_threshold"])
     sweep_times = (0.5, 1.0, 2.0)
     sweep_idx = [grid.index_of(t) for t in sweep_times]  # the last one is the horizon
-    stability_factor = float(params["stability_factor"])
 
     def kernel(tag, b):
         realized = spec.realize(b.paths, b.grid, space)
@@ -759,7 +766,7 @@ def _lenglart_orlicz(seed, replicates, params):
                              {"constant": c_cert, "gamma1": gamma1}))
     reports += [tally.row(f"sweep:orlicz:T{t}", ("sweep", t), 4.0, n_master) for t in sweep_times]
     ratios = {t: row.ratio for t, row in zip(sweep_times, reports[-len(sweep_times):])}
-    reports.append(_spread_row("sweep:orlicz:spread", ratios.values(), stability_factor,
+    reports.append(_spread_row("sweep:orlicz:spread", ratios.values(), _SPREAD_FACTOR,
                                n_master))
     reports.append(_scaling_row("scaling-exact:orlicz",
                                 [tally.ratio(("scaled", c)) for c in (0.5, 2.0)], ratios[1.0],
@@ -771,36 +778,9 @@ def _lenglart_orlicz(seed, replicates, params):
 # two-sided Orlicz comparison for vector integrals
 
 
-def _modular_paths(gauge: GrowthFunction, abs_integral, eta, weights, scales, read):
-    """Per scale c in ``scales``: the running supremum of the modular of the
-    integral, and the clock-side modular, each at the ascending grid
-    indices ``read`` (a dict index -> (reps,) values), for scaled
-    integrands c X.
-
-    For power gauges the scaling is analytic: modular(c f) = c^p modular(f),
-    exact in floats for binary c, which realizes the homogeneity-invariance
-    contract; both modulars are evaluated once and scaled per c, the
-    supremum after its maximum (rounding is monotone, so that commutes).
-    Other gauges are re-evaluated at the scaled arguments.  The clock is
-    evaluated at the read indices only, one (reps, atoms) slice each; the
-    supremum needs the whole path.
-    """
-    root = {i: np.sqrt(eta[:, i]) for i in read}
-    out = {}
-    if gauge.family == "power" and float(gauge.params.get("coeff", 1.0)) == 1.0:
-        # the modular is >= 0, so its running max is its running abs max
-        sup = running_abs_max(modular_of_norms(abs_integral, weights, gauge), read)
-        clock = {i: modular_of_norms(r, weights, gauge) for i, r in root.items()}
-        for c in scales:
-            scale = float(c) ** float(gauge.params["p"])
-            out[c] = ({i: scale * sup[:, k] for k, i in enumerate(read)},
-                      {i: scale * v for i, v in clock.items()})
-    else:
-        for c in scales:
-            sup = running_abs_max(modular_of_norms(c * abs_integral, weights, gauge), read)
-            out[c] = ({i: sup[:, k] for k, i in enumerate(read)},
-                      {i: modular_of_norms(c * r, weights, gauge) for i, r in root.items()})
-    return out
+# Both directions of the lambda_2 rows are checked against this placeholder,
+# not a certified paper constant; their rows carry bound_kind "envelope".
+_LAMBDA2_ENVELOPE = 50.0
 
 
 def run_orlicz_bdg(cfg) -> ExperimentResult:
@@ -811,15 +791,12 @@ def run_orlicz_bdg(cfg) -> ExperimentResult:
     space1 = DiscreteMeasureSpace([1.0])
     sweep_times = (0.5, 1.0, 2.0)
     scales = (0.5, 1.0, 2.0)
-    stability_factor = float(params["stability_factor"])
-    envelope = float(params["envelope"])
 
     power2 = get_gauge("power_2")
     lambda2 = get_gauge("lambda_2")
     if not classify_gauge(lambda2).a2_operational:
         raise LabError("lambda_2 fails the operational A2 probe")
     gauges = (("power_2", power2), ("lambda_2", lambda2))
-    rev_bounds = {"power_2": 1.0, "lambda_2": envelope}
     specs = [
         ProcessSpec("sign_of_B1"),
         ProcessSpec("two_coord_mix"),
@@ -827,29 +804,31 @@ def run_orlicz_bdg(cfg) -> ExperimentResult:
     single_spec = ProcessSpec("constant_e1")
 
     def kernel(tag, b):
-        grid_points = {t: b.grid.index_of(t) for t in sweep_times}
-        combos = [(t, c) for t in sweep_times for c in scales] if tag == "4n" else [(horizon, 1.0)]
-        read = sorted({grid_points[t] for t, _ in combos})
+        times, cs = (sweep_times, scales) if tag == "4n" else ((horizon,), (1.0,))
+        read = [b.grid.index_of(t) for t in times]
         for spec in specs:
             realized = spec.realize(b.paths, b.grid, space)
             abs_integral = np.abs(realized.integral(b.increments))
             eta = realized.eta()
-            for gname, gauge in gauges:
-                done = _modular_paths(gauge, abs_integral, eta, space.weights,
-                                      sorted({c for _, c in combos}), read)
-                # only a fine reverse row at bound 1 reads the paired difference
-                paired = (1.0,) if tag == "4n" and rev_bounds[gname] == 1.0 else ()
-                for t_stop, c in combos:
-                    sup, clock = done[c]
-                    idx = grid_points[t_stop]
-                    yield (spec.rule, gname, tag, t_stop, c), (sup[idx], clock[idx], *paired)
+            roots = [np.sqrt(eta[:, i]) for i in read]
+            for c in cs:
+                # every scale is evaluated, so the scaling rows compare two computations
+                scaled = c * abs_integral
+                for gname, gauge in gauges:
+                    # the modular is >= 0, so its running max is its running abs max
+                    sup = running_abs_max(modular_of_norms(scaled, space.weights, gauge), read)
+                    # only a fine reverse row at bound 1 reads the paired difference
+                    paired = (1.0,) if tag == "4n" and gname == "power_2" else ()
+                    for k, (t_stop, root) in enumerate(zip(times, roots)):
+                        clock = modular_of_norms(c * root, space.weights, gauge)
+                        yield (spec.rule, gname, tag, t_stop, c), (sup[:, k], clock, *paired)
             if tag == "4n" and spec.rule == "two_coord_mix":  # for the norm-agreement rows
                 yield "_sample", (np.sqrt(eta[:32, -1, :]),)
         if tag == "4n":
             # single-atom reduction: X = e1, modular path = B^2, clock = t
             realized = single_spec.realize(b.paths, b.grid, space1)
             integral = realized.integral(b.increments)[:, :, 0]
-            idx = grid_points[1.0]
+            idx = b.grid.index_of(1.0)
             sup_sq = running_abs_max(integral, [idx])[:, 0] ** 2  # squaring is monotone in |x|
             yield "single", (sup_sq, realized.eta()[:, idx, 0], 4.0)
 
@@ -858,27 +837,26 @@ def run_orlicz_bdg(cfg) -> ExperimentResult:
     reports = []
     for spec in specs:
         for gname, _ in gauges:
-            fwd_bound = 4.0 if gname == "power_2" else envelope
-            rev_bound = rev_bounds[gname]
+            fwd_bound = 4.0 if gname == "power_2" else _LAMBDA2_ENVELOPE
+            rev_bound = 1.0 if gname == "power_2" else _LAMBDA2_ENVELOPE
             extras = {} if gname == "power_2" else {"bound_kind": "envelope"}
             ratios = {}
             for t_stop in sweep_times:
                 for c in scales:
                     key = (spec.rule, gname, "4n", t_stop, c)
-                    lhs, rhs = tally.sides(key)
-                    ratios[(t_stop, c)] = lhs.mean / rhs.mean
-                    # forward rows keep the unpaired slack, also at envelope 1
-                    reports.append(RatioReport(f"forward:{spec.rule}:{gname}:T{t_stop}:c{c}",
-                                               lhs, rhs, fwd_bound, steps["4n"], extras=extras))
-                    reports.append(tally.row(f"reverse:{spec.rule}:{gname}:T{t_stop}:c{c}",
-                                             key, rev_bound, steps["4n"], extras, reverse=True))
+                    ratios[(t_stop, c)] = tally.ratio(key)
+                    label = f"{spec.rule}:{gname}:T{t_stop}:c{c}"
+                    reports.append(tally.row(f"forward:{label}", key, fwd_bound, steps["4n"],
+                                             extras))
+                    reports.append(tally.row(f"reverse:{label}", key, rev_bound, steps["4n"],
+                                             extras, reverse=True))
             reports.append(_spread_row(f"sweep:{spec.rule}:{gname}", ratios.values(),
-                                       stability_factor, steps["4n"], {"combos": len(ratios)}))
+                                       _SPREAD_FACTOR, steps["4n"], {"combos": len(ratios)}))
             r_coarse = tally.ratio((spec.rule, gname, "n", horizon, 1.0))
             reports.extend(_stability_rows(f"stability:{spec.rule}:{gname}",
                                            ratios[(horizon, 1.0)], r_coarse, 0.15, steps["n"]))
             if gname == "power_2":
-                # homogeneity: the analytic c-scaling cancels bitwise
+                # homogeneity: each scale's ratio, from its own sums, equals c = 1's bitwise
                 reports.append(_scaling_row(f"scaling-exact:{spec.rule}",
                                             [ratios[(1.0, c)] for c in scales],
                                             ratios[(1.0, 1.0)], steps["4n"]))
@@ -894,7 +872,7 @@ def run_orlicz_bdg(cfg) -> ExperimentResult:
         rel = np.abs(lux - alg) / np.where(alg > 0, alg, 1.0)
         reports.append(_exact_row(f"norm-agreement:{gname}", float(rel.max()), 1.0, 1e-6,
                                   steps["4n"]))
-    return ExperimentResult("orlicz_bdg", n, reports, notes={"replicates": replicates})
+    return ExperimentResult("orlicz_bdg", reports, notes={"replicates": replicates})
 
 
 # ---------------------------------------------------------------------------
@@ -949,12 +927,10 @@ def experiment_defaults(name: str) -> dict:
         # one table for both pairs; the Orlicz pair runs on orlicz_grid_n
         "lenglart": {"replicates": 40_000, "grid_n": 2048,
                      "params": {"pairs": CERTIFIED_PAIRS, "horizon": 4.0,
-                                "lambdas": np.geomspace(0.1, 1.2, 6), "stability_factor": 10.0,
-                                "orlicz_grid_n": 1024, "weights": weights4,
-                                "clock_threshold": 0.5}},
+                                "lambdas": np.geomspace(0.1, 1.2, 6), "orlicz_grid_n": 1024,
+                                "weights": weights4, "clock_threshold": 0.5}},
         "orlicz_bdg": {"replicates": 20_000, "grid_n": 512,
-                       "params": {"weights": weights4, "stability_factor": 10.0,
-                                  "envelope": 50.0}},
+                       "params": {"weights": weights4}},
     }
     if name not in defaults:
         raise LabError(f"unknown experiment {name!r}; known: {', '.join(sorted(EXPERIMENTS))}")

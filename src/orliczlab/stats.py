@@ -113,7 +113,6 @@ class ExperimentResult:
     """Reports plus auxiliary notes from one experiment run."""
 
     name: str
-    grid_n: int
     reports: list
     notes: dict = field(default_factory=dict)
 

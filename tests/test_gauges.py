@@ -243,6 +243,15 @@ def test_complementary_quadrature_route_matches_closed():
     assert_allclose(comp(t), t**1.5 / 1.5, rtol=1e-6)
 
 
+def test_complementary_quadrature_route_has_a_derivative():
+    # the complement of t^2 is t^2/4, so its right derivative is t/2
+    stripped = dataclasses.replace(G.get_gauge("power_2"), _complement=None)
+    comp = G.complementary_gauge(stripped)
+    t = np.geomspace(0.1, 10.0, 13)
+    assert_allclose(comp.derivative(t), t / 2.0, rtol=0.0, atol=1e-12)
+    assert np.isfinite(G.complementary_gauge(G.get_gauge("power_log_2")).derivative(1.0))
+
+
 def test_complementary_rejects_non_n_functions():
     for name in ("lambda_0", "lambda_1", "lambda_2", "exp_minus_one"):
         with pytest.raises(G.NotNFunctionError):

@@ -17,7 +17,6 @@ from orliczlab.lab import (
     EXPERIMENTS,
     LabError,
     _max_to_hit,
-    _modular_paths,
     _execute,
     derive_moment_constant,
     experiment_defaults,
@@ -131,9 +130,18 @@ def test_unknown_params_rejected():
         assert key in experiment_defaults(name)["params"]
 
 
+def test_verdict_bounds_are_not_params():
+    # the lambda_2 envelope and the sweep spread factor are module constants
+    with pytest.raises(LabError, match="unknown params 'envelope'"):
+        small("orlicz_bdg", envelope=1e9)
+    for name in ("lenglart", "orlicz_bdg"):
+        with pytest.raises(LabError, match="unknown params 'stability_factor'"):
+            small(name, stability_factor=1e9)
+
+
 def test_param_values_type_checked():
-    with pytest.raises(LabError, match=r"params\.envelope must be a number.*'fifty'"):
-        small("orlicz_bdg", envelope="fifty")
+    with pytest.raises(LabError, match=r"params\.exit_level must be a number.*'fifty'"):
+        small("isometry", exit_level="fifty")
     with pytest.raises(LabError, match=r"params\.lambdas must be a list of numbers"):
         small("doob_orlicz", lambdas=["a"])
     with pytest.raises(LabError, match=r"params\.horizon must be a number"):
@@ -199,7 +207,6 @@ def test_young_extra_gauges_must_be_a_list_of_gauge_mappings():
 
 def test_young_reads_grid_n():
     res = small("young", replicates=None, grid_n=64)
-    assert res.grid_n == 64
     assert res.reports and all(r.grid_n == 64 for r in res.reports)
 
 
@@ -352,8 +359,20 @@ def test_lenglart_certified_constant_and_scaling():
     assert row.ratio == pytest.approx(1.0, abs=0.15)
 
 
+def test_lenglart_refuses_grid_n_without_the_scalar_pair():
+    # grid_n sizes the scalar pair only; the orlicz pair runs on orlicz_grid_n
+    with pytest.raises(LabError, match=r"lenglart: grid_n is read by the scalar pair only"):
+        small("lenglart", grid_n=32, pairs="orlicz", orlicz_grid_n=64)
+
+
+def test_lenglart_refuses_orlicz_grid_n_without_the_orlicz_pair():
+    with pytest.raises(LabError,
+                       match=r"lenglart: params\.orlicz_grid_n is read by the orlicz pair only"):
+        small("lenglart", pairs="scalar", orlicz_grid_n=999999)
+
+
 def test_lenglart_orlicz_pair_runs_every_replicate():
-    res = small("lenglart", replicates=40_100, pairs="orlicz", orlicz_grid_n=8)
+    res = small("lenglart", replicates=40_100, grid_n=None, pairs="orlicz", orlicz_grid_n=8)
     row = {r.label: r for r in res.reports}["hypothesis:orlicz:half-horizon"]
     assert row.lhs.n == 40_100
 
@@ -369,9 +388,6 @@ PAIRED_ROWS = [
                                           "hypothesis:orlicz:*", "conclusion:orlicz:doob",
                                           "sweep:orlicz:T*"]),
     ("orlicz_bdg", {}, ["reverse:*:power_2:*", "single-atom-fwd"]),
-    # forward rows stay unpaired even when the envelope is 1
-    ("orlicz_bdg", {"envelope": 1.0}, ["reverse:*:power_2:*", "reverse:*:lambda_2:*",
-                                       "single-atom-fwd"]),
 ]
 
 
@@ -447,27 +463,6 @@ def test_max_to_hit_matches_running_max_at_tau_bitwise():
     assert not hit[0] and tau[1] == 0 and tau[2] == 7
     ref = np.maximum.accumulate(values, axis=1)[np.arange(6), tau]
     assert np.array_equal(_max_to_hit(values, tau, hit), ref)
-
-
-@pytest.mark.parametrize("gname", ["power_2", "lambda_2"])
-def test_modular_paths_read_the_running_max_bitwise(gname):
-    gauge = get_gauge(gname)
-    weights = np.array([1.0, 2.0])
-    rng = substream(4, "modular-paths")
-    abs_integral = np.abs(rng.standard_normal((5, 17, 2)).cumsum(axis=1))
-    eta = np.cumsum(rng.uniform(size=(5, 17, 2)), axis=1)
-    read = [4, 8, 16]
-    out = _modular_paths(gauge, abs_integral, eta, weights, (0.5, 1.0, 2.0), read)
-    for c, (sup, clock) in out.items():
-        full = np.maximum.accumulate(modular_of_norms(c * abs_integral, weights, gauge), axis=1)
-        if gname == "power_2":
-            # the scale c^p is applied to the maximum, not to the path
-            mod = modular_of_norms(abs_integral, weights, gauge)
-            assert np.array_equal(full, np.maximum.accumulate(c**2 * mod, axis=1))
-        for i in read:
-            assert np.array_equal(sup[i], full[:, i])
-            assert np.array_equal(clock[i], modular_of_norms(c * np.sqrt(eta[:, i]), weights,
-                                                             gauge))
 
 
 def _tile_record(tag, b):
@@ -698,15 +693,21 @@ def test_scaling_rows_fail_on_a_non_homogeneous_kernel(monkeypatch):
     0.5x) inputs, so a kernel that is not homogeneous breaks them."""
     from orliczlab.paths import quadratic_variation, running_abs_max
 
-    for pair in ("scalar", "orlicz"):
-        sizes = dict(replicates=1000, grid_n=256, pairs=pair, orlicz_grid_n=256)
-        res = small("lenglart", **sizes)
-        assert {r.label: r for r in res.reports}[f"scaling-exact:{pair}"].passed
+    runs = [
+        ("lenglart", dict(grid_n=256, pairs="scalar"), ["scalar"]),
+        ("lenglart", dict(grid_n=None, pairs="orlicz", orlicz_grid_n=256), ["orlicz"]),
+        ("orlicz_bdg", dict(grid_n=64), ["sign_of_B1", "two_coord_mix"]),
+    ]
+    for name, sizes, suffixes in runs:
+        res = small(name, replicates=1000, **sizes)
+        for suffix in suffixes:
+            assert {r.label: r for r in res.reports}[f"scaling-exact:{suffix}"].passed
         with monkeypatch.context() as m:
             m.setattr(lab, "running_abs_max", lambda v, read: running_abs_max(v, read) + 1e-3)
-            res = small("lenglart", **sizes)
-        row = {r.label: r for r in res.reports}[f"scaling-exact:{pair}"]
-        assert not row.passed and row.extras["scaling_exact"] is False
+            res = small(name, replicates=1000, **sizes)
+        for suffix in suffixes:
+            row = {r.label: r for r in res.reports}[f"scaling-exact:{suffix}"]
+            assert not row.passed and row.extras["scaling_exact"] is False, row.label
     monkeypatch.setattr(lab, "quadratic_variation", lambda inc: quadratic_variation(inc) + 1e-3)
     res = small("bdg_scalar", replicates=1000, grid_n=256)
     upper = {r.label: r for r in res.reports}["bdg-upper:bm"]
