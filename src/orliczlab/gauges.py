@@ -13,6 +13,12 @@ the complementary gauge of an N-function (via the right inverse of the
 right derivative), and empirical classification of a gauge into the
 moderate-growth classes the inequality lab relies on.
 
+The two integrals here, the numeric complement and the kappa integral, use
+one adaptive 21-point Gauss-Kronrod rule (QUADPACK's ``qk21``) written in
+numpy: every piece of every interval is evaluated in one array call, a
+piece is accepted once its Kronrod and Gauss sums differ by at most its
+share of ``max(1e-12, 1e-10 * |integral|)``, and the others are halved.
+
 Class flags reported by :func:`classify_gauge` are measured on finite probe
 grids.  They are evidence, not proofs.
 """
@@ -26,7 +32,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
-from scipy import integrate as _sint
 
 __all__ = [
     "GaugeError",
@@ -70,6 +75,67 @@ class BracketError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
+# adaptive Gauss-Kronrod quadrature
+
+# QUADPACK qk21 on [-1, 1] (as doubles): the Kronrod nodes from 1 down to 0
+# with their weights, then the 10-point Gauss weights of the odd-numbered
+# nodes; the rule mirrors them about 0
+_GK_X = np.array([
+    0.9956571630258081, 0.9739065285171717, 0.9301574913557082, 0.8650633666889845,
+    0.7808177265864169, 0.6794095682990244, 0.5627571346686047, 0.4333953941292472,
+    0.2943928627014602, 0.14887433898163122, 0.0])
+_GK_WK = np.array([
+    0.011694638867371874, 0.032558162307964725, 0.054755896574351995, 0.07503967481091996,
+    0.0931254545836976, 0.10938715880229764, 0.12349197626206584, 0.13470921731147334,
+    0.14277593857706009, 0.14773910490133849, 0.1494455540029169])
+_GK_X = np.concatenate([-_GK_X[:-1], _GK_X[::-1]])
+_GK_WK = np.concatenate([_GK_WK[:-1], _GK_WK[::-1]])
+_GK_WG = np.zeros(21)
+_GK_WG[1:10:2] = _GK_WG[19:10:-2] = [0.06667134430868814, 0.1494513491505806,
+                                     0.21908636251598204, 0.26926671930999635,
+                                     0.29552422471475287]
+# QUADPACK's limit: the most pieces one interval may be split into
+_QUAD_PIECES = 200
+
+
+def _quad(f: Callable, a, b) -> np.ndarray:
+    """Integral of a vectorised ``f`` over each interval [a[i], b[i]], a <= b.
+
+    Adaptive 21-point Gauss-Kronrod: each round calls ``f`` once on the
+    (pieces, 21) nodes of every live piece.  A piece is accepted once its
+    Kronrod and Gauss sums differ by at most its length's share of
+    ``max(1e-12, 1e-10 * |integral|)``, with the integral estimated from
+    all current pieces of its interval; the others are halved.  An interval
+    that needs more than ``_QUAD_PIECES`` pieces (a non-integrable or
+    non-finite integrand) raises :class:`BracketError`.
+    """
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    shape, a, b = a.shape, a.ravel(), b.ravel()
+    total = np.zeros(a.shape)
+    pieces = np.ones(a.shape, dtype=int)
+    owner, lo, hi = np.arange(a.size), a, b
+    while owner.size:
+        half = 0.5 * (hi - lo)
+        mid = 0.5 * (lo + hi)
+        fx = f(mid[:, None] + half[:, None] * _GK_X)
+        kron = half * (fx @ _GK_WK)
+        diff = np.abs(kron - half * (fx @ _GK_WG))
+        estimate = total + np.bincount(owner, kron, minlength=a.size)
+        tol = np.maximum(1e-12, 1e-10 * np.abs(estimate))[owner]
+        ok = diff * (b - a)[owner] <= tol * (hi - lo)
+        total += np.bincount(owner[ok], kron[ok], minlength=a.size)
+        owner, lo, mid, hi = owner[~ok], lo[~ok], mid[~ok], hi[~ok]
+        pieces += np.bincount(owner, minlength=a.size)
+        if pieces.max() > _QUAD_PIECES:
+            i = pieces.argmax()
+            raise BracketError(f"quadrature on [{float(a[i])!r}, {float(b[i])!r}]: no"
+                               f" convergence in {_QUAD_PIECES} pieces")
+        owner = np.repeat(owner, 2)
+        lo, hi = np.stack([lo, mid], axis=1).ravel(), np.stack([mid, hi], axis=1).ravel()
+    return total.reshape(shape)
+
+
+# ---------------------------------------------------------------------------
 # evaluation kernels per family
 
 
@@ -89,18 +155,19 @@ def _power_log_eval(p: float) -> Callable:
 
 
 def _lambda_alpha_eval(alpha: float) -> Callable:
-    # t^alpha everywhere, times the log factor only below the kink (the
-    # factor is 1 above it); 0 wherever t > 0 fails, NaN included
+    # t^alpha times the log factor, which is set to exactly 1 at and above
+    # the kink (dense passes: a boolean gather and scatter cost more); 0
+    # wherever t > 0 fails, NaN included
     def ev(t):
         t = np.asarray(t, dtype=float)
         out = np.empty(t.shape)
-        with np.errstate(invalid="ignore"):
+        factor = np.maximum(t, 1e-300, out=np.empty(t.shape))
+        with np.errstate(divide="ignore", invalid="ignore"):
             np.power(t, alpha, out=out)
-        low = t < _KINK
-        factor = np.maximum(t[low], 1e-300)
-        np.log(factor, out=factor)
-        np.divide(-1.0, factor, out=factor)
-        out[low] *= factor
+            np.log(factor, out=factor)
+            np.divide(-1.0, factor, out=factor)
+        np.copyto(factor, 1.0, where=~(t < _KINK))
+        out *= factor
         np.copyto(out, 0.0, where=~(t > 0.0))
         return out
 
@@ -390,30 +457,32 @@ def varphi_of(gauge: GrowthFunction, t: float) -> float:
 def _right_inverse_of_derivative(gauge: GrowthFunction) -> Callable:
     a = gauge.derivative
 
-    def atilde(u: float) -> float:
-        # inf {s >= 0 : a(s) > u}; bisection keeps the upper end so the
-        # integrated complementary is biased upward, never below the truth.
-        if u < 0.0:
+    def atilde(u):
+        # inf {s >= 0 : a(s) > u} per element, by one masked bisection; it
+        # keeps the upper end so the integrated complementary is biased
+        # upward, never below the truth.
+        u = np.asarray(u, dtype=float)
+        if np.any(u < 0.0):
             raise GaugeError("right inverse needs u >= 0")
-        hi = 1.0
-        if float(a(np.float64(hi))) > u:
-            lo = 0.0
-        else:
-            for _ in range(200):
-                lo, hi = hi, hi * 2.0
-                if float(a(np.float64(hi))) > u:
-                    break
-                if hi > 1e30:
-                    raise BracketError("right inverse: derivative never exceeds level")
-            else:
-                raise BracketError("right inverse: no upper bracket")
-        while hi - lo > 1e-13 * max(hi, 1.0):
-            mid = 0.5 * (lo + hi)
-            if float(a(np.float64(mid))) > u:
-                hi = mid
-            else:
-                lo = mid
-        return hi
+        flat = u.ravel()
+        lo, hi = np.zeros(flat.shape), np.ones(flat.shape)
+        # doubling from 1 while a(hi) <= u; every moving element has one hi
+        live = np.flatnonzero(~(a(hi) > flat))
+        while live.size:
+            lo[live] = hi[live]
+            hi[live] *= 2.0
+            live = live[~(a(hi[live]) > flat[live])]
+            if live.size and hi[live[0]] > 1e30:
+                raise BracketError("right inverse: derivative never exceeds level")
+        live = np.arange(flat.size)
+        while True:
+            live = live[hi[live] - lo[live] > 1e-13 * np.maximum(hi[live], 1.0)]
+            if not live.size:
+                return hi.reshape(u.shape)
+            mid = 0.5 * (lo[live] + hi[live])
+            above = a(mid) > flat[live]
+            hi[live[above]] = mid[above]
+            lo[live[~above]] = mid[~above]
 
     return atilde
 
@@ -422,8 +491,9 @@ def complementary_gauge(gauge: GrowthFunction) -> GrowthFunction:
     """Complementary gauge of an N-function.
 
     Uses the closed form when the family has one, else integrates the right
-    inverse of the right derivative.  Raises :class:`NotNFunctionError` when
-    the strict N-function probe rejects the gauge.
+    inverse of the right derivative over the gaps between the sorted
+    arguments in one :func:`_quad` call.  Raises :class:`NotNFunctionError`
+    when the strict N-function probe rejects the gauge.
     """
     if not _is_n_function(gauge):
         raise NotNFunctionError(
@@ -437,22 +507,16 @@ def complementary_gauge(gauge: GrowthFunction) -> GrowthFunction:
         t = np.asarray(t, dtype=float)
         flat = np.atleast_1d(t).ravel()
         order = np.argsort(flat)
-        vals = np.zeros(flat.shape)
-        total = 0.0
-        prev = 0.0
-        for idx in order:
-            ti = flat[idx]
-            if ti > prev:
-                chunk, _ = _sint.quad(atilde, prev, ti, epsabs=1e-12, epsrel=1e-10, limit=200)
-                total += chunk
-                prev = ti
-            vals[idx] = total
+        # running max of the sorted t clipped at 0 (NaN last, read as 0), so a
+        # t at or below the previous one adds an empty gap
+        edges = np.maximum.accumulate(np.fmax(flat[order], 0.0))
+        vals = np.empty(flat.shape)
+        vals[order] = np.cumsum(_quad(atilde, np.concatenate([[0.0], edges])[:-1], edges))
         return vals.reshape(t.shape) if t.shape else np.float64(vals[0])
 
     # the complement's right derivative is the right inverse it integrates
     return GrowthFunction(family="numeric", params={"source": gauge.label},
-                          label=f"complement({gauge.label})", _eval=ev,
-                          _deriv=np.vectorize(atilde, otypes=[float]))
+                          label=f"complement({gauge.label})", _eval=ev, _deriv=atilde)
 
 
 def young_gap(gauge: GrowthFunction, comp: GrowthFunction, s, t):
@@ -476,11 +540,11 @@ def kappa_probe(gauge: GrowthFunction) -> float | None:
     """
     worst = 0.0
     for t in np.geomspace(1e-3, 1e3, 13):
-        integrand = lambda u, t=t: float(gauge(t * math.exp(-u))) * math.exp(u)
+        integrand = lambda u, t=t: gauge(t * np.exp(-u)) * np.exp(u)
         total = 0.0
         lo, hi = 0.0, 4.0
         while hi <= 512.0:
-            chunk, _ = _sint.quad(integrand, lo, hi, epsabs=1e-12, epsrel=1e-10, limit=200)
+            chunk = float(_quad(integrand, lo, hi))
             total += chunk
             if chunk <= 1e-8 * total and lo > 0.0:
                 break

@@ -2,6 +2,9 @@
 
 import csv
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -167,6 +170,30 @@ def test_cli_list_verbs():
     assert experiments.exit_code == 0
     for name in ("young", "isometry", "good_lambda", "orlicz_bdg"):
         assert name in experiments.output
+
+
+# any scipy import raises once sys.modules maps the name to None
+_NO_SCIPY = """
+import sys
+sys.modules["scipy"] = None
+from click.testing import CliRunner
+from orliczlab.cli import main
+from orliczlab.config import ExperimentConfig
+from orliczlab.gauges import classify_gauge, get_gauge
+from orliczlab.lab import run_experiment
+assert CliRunner().invoke(main, ["list-gauges"]).exit_code == 0
+assert classify_gauge(get_gauge("lambda_2")).a2_operational
+assert run_experiment(ExperimentConfig(experiment="young")).passed
+assert sys.modules["scipy"] is None
+"""
+
+
+def test_runtime_never_imports_scipy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    res = subprocess.run([sys.executable, "-c", _NO_SCIPY], env=env, capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
 
 
 def test_cli_run_passes_and_writes_csv(tmp_path):

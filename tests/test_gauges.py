@@ -72,7 +72,7 @@ def test_lambda_alpha_conventions():
 
 
 def test_lambda_alpha_equals_two_branch_formula():
-    # the log factor is evaluated only below the kink; the values equal the
+    # the log factor counts only below the kink; the values equal the
     # two-branch formula bit for bit, edge points and 0-d inputs included
     edge = np.array([0.0, 5e-324, 1e-310, np.nextafter(KINK, 0.0), KINK,
                      np.nextafter(KINK, 1.0), 1.0, np.inf, np.nan, -1.0])
@@ -88,6 +88,34 @@ def test_lambda_alpha_equals_two_branch_formula():
         for i, point in enumerate(edge):
             got = g(np.float64(point))
             assert got.shape == () and got.tobytes() == formula[i].tobytes()
+
+
+def _masked_lambda_alpha(t, alpha):
+    # the boolean gather-and-scatter form the dense evaluation replaced
+    t = np.asarray(t, dtype=float)
+    out = np.empty(t.shape)
+    with np.errstate(invalid="ignore"):
+        np.power(t, alpha, out=out)
+    low = t < KINK
+    factor = np.maximum(t[low], 1e-300)
+    np.log(factor, out=factor)
+    np.divide(-1.0, factor, out=factor)
+    out[low] *= factor
+    np.copyto(out, 0.0, where=~(t > 0.0))
+    return out
+
+
+def test_lambda_alpha_dense_matches_masked_form():
+    edge = np.array([0.0, -0.0, -1.0, np.nan, np.inf, -np.inf, 5e-324, 1e-300,
+                     np.nextafter(KINK, 0.0), KINK, np.nextafter(KINK, 1.0), 1e150])
+    rng = np.random.default_rng(5)
+    t = np.concatenate([edge, rng.uniform(-0.5, 3.0, 50_000),
+                        np.exp(rng.uniform(-745.0, 40.0, 5000))])
+    for alpha in (0.0, 0.5, 1.0, 2.0):
+        g = G.make_gauge("lambda_alpha", alpha=alpha)
+        with np.errstate(divide="raise", over="raise", invalid="raise"):  # no new warning
+            got = g(t)
+        assert got.tobytes() == _masked_lambda_alpha(t, alpha).tobytes()
 
 
 def test_lambda_zero_is_bounded():
@@ -250,6 +278,72 @@ def test_complementary_quadrature_route_has_a_derivative():
     t = np.geomspace(0.1, 10.0, 13)
     assert_allclose(comp.derivative(t), t / 2.0, rtol=0.0, atol=1e-12)
     assert np.isfinite(G.complementary_gauge(G.get_gauge("power_log_2")).derivative(1.0))
+
+
+def _scalar_right_inverse(a, u):
+    # the per-element bisection the array right inverse replaced
+    hi = 1.0
+    if float(a(np.float64(hi))) > u:
+        lo = 0.0
+    else:
+        while True:
+            lo, hi = hi, hi * 2.0
+            if float(a(np.float64(hi))) > u:
+                break
+    while hi - lo > 1e-13 * max(hi, 1.0):
+        mid = 0.5 * (lo + hi)
+        if float(a(np.float64(mid))) > u:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def test_right_inverse_matches_scalar_bisection():
+    g = G.get_gauge("power_log_2")
+    atilde = G._right_inverse_of_derivative(g)
+    u = np.array([0.0, 1e-9, 0.5, 3.0, 1e4])
+    want = np.array([_scalar_right_inverse(g.derivative, x) for x in u])
+    assert_allclose(atilde(u), want, rtol=1e-13, atol=0.0)
+    assert_allclose(atilde(u[::-1].reshape(5, 1)).ravel(), want[::-1], rtol=1e-13, atol=0.0)
+    assert atilde(np.float64(0.5)).shape == ()
+    with pytest.raises(G.GaugeError, match="u >= 0"):
+        atilde(np.array([1.0, -1e-12]))
+    with pytest.raises(G.GaugeError, match="u >= 0"):
+        G.complementary_gauge(g).derivative(-1.0)
+
+
+def test_quad_is_exact_on_polynomials_up_to_degree_20():
+    for k in range(21):
+        got = G._quad(lambda x: x**k, -0.5, 1.5)
+        assert got == pytest.approx((1.5 ** (k + 1) - (-0.5) ** (k + 1)) / (k + 1), rel=1e-14)
+
+
+def test_quad_sqrt_endpoint_singularity():
+    # the complement's integrand behaves as sqrt(u) at u = 0
+    assert abs(float(G._quad(np.sqrt, 0.0, 1.0)) - 2.0 / 3.0) <= 1e-12
+
+
+def test_quad_integrates_each_interval_in_one_call():
+    a = np.array([[0.0, 1.0], [2.0, 3.0], [-1.0, 0.25]])
+    b = np.array([[1.0, 1.0], [7.0, 30.0], [0.25, 40.0]])
+    got = G._quad(np.cos, a, b)
+    assert got.shape == (3, 2)
+    assert_allclose(got, np.sin(b) - np.sin(a), rtol=1e-10, atol=1e-12)
+    assert got[0, 1] == 0.0
+
+
+def test_quad_refuses_a_non_integrable_integrand():
+    rows = []
+
+    def inv(x):
+        rows.append(x.shape[0])
+        return 1.0 / x
+
+    with pytest.raises(G.BracketError, match=r"\[0\.0, 1\.0\]"):
+        G._quad(inv, np.array([2.0, 0.0]), np.array([3.0, 1.0]))
+    # the work stays bounded: no round holds more than the piece limit
+    assert max(rows) <= G._QUAD_PIECES
 
 
 def test_complementary_rejects_non_n_functions():
