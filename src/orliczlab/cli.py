@@ -16,7 +16,7 @@ import click
 
 from .config import DEFAULT_SEED, ExperimentConfig, load_config
 from .gauges import REGISTRY, gauge_from_config
-from .lab import EXPERIMENT_SUMMARY, EXPERIMENTS, experiment_defaults, run_experiment
+from .lab import EXPERIMENTS, run_experiment
 from .reports import emit_report
 
 _OUT_ENV = "ORLICZLAB_OUT"
@@ -60,17 +60,11 @@ def verify_paper(fast: bool, seed: int, out_dir: str | None) -> None:
     """Run the full verification suite: every experiment at default settings."""
     runs = []
     all_ok = True
-    for name in EXPERIMENTS:
-        defaults = experiment_defaults(name)
-        replicates = defaults["replicates"] or None
-        if fast and replicates:
-            replicates = max(2000, replicates // 20)
-        cfg = ExperimentConfig(
-            experiment=name,
-            seed=seed,
-            replicates=replicates,
-            grid_n=defaults["grid_n"] or None,
-        )
+    for name, exp in EXPERIMENTS.items():
+        # a size the experiment never reads (0) stays unset
+        replicates = exp.fast_replicates if fast else exp.replicates
+        cfg = ExperimentConfig(experiment=name, seed=seed, replicates=replicates or None,
+                               grid_n=exp.grid_n or None)
         result = run_experiment(cfg)
         runs.append((cfg, result))
         all_ok = all_ok and result.passed
@@ -97,8 +91,8 @@ def list_gauges() -> None:
 @main.command("list-experiments")
 def list_experiments() -> None:
     """List the available experiments."""
-    for name in EXPERIMENTS:
-        click.echo(f"{name}: {EXPERIMENT_SUMMARY[name]}")
+    for name, exp in EXPERIMENTS.items():
+        click.echo(f"{name}: {exp.summary}")
 
 
 if __name__ == "__main__":

@@ -502,21 +502,25 @@ def complementary_gauge(gauge: GrowthFunction) -> GrowthFunction:
     if gauge._complement is not None:
         return gauge._complement()
     atilde = _right_inverse_of_derivative(gauge)
+    label = f"complement({gauge.label})"
 
     def ev(t):
         t = np.asarray(t, dtype=float)
         flat = np.atleast_1d(t).ravel()
+        if np.isposinf(flat).any():
+            raise GaugeError(f"{label}: t = inf has no quadrature; the argument must be finite")
         order = np.argsort(flat)
         # running max of the sorted t clipped at 0 (NaN last, read as 0), so a
-        # t at or below the previous one adds an empty gap
+        # t at or below the previous one adds an empty gap; a NaN then reads NaN
         edges = np.maximum.accumulate(np.fmax(flat[order], 0.0))
         vals = np.empty(flat.shape)
         vals[order] = np.cumsum(_quad(atilde, np.concatenate([[0.0], edges])[:-1], edges))
+        vals[np.isnan(flat)] = np.nan
         return vals.reshape(t.shape) if t.shape else np.float64(vals[0])
 
     # the complement's right derivative is the right inverse it integrates
-    return GrowthFunction(family="numeric", params={"source": gauge.label},
-                          label=f"complement({gauge.label})", _eval=ev, _deriv=atilde)
+    return GrowthFunction(family="numeric", params={"source": gauge.label}, label=label,
+                          _eval=ev, _deriv=atilde)
 
 
 def young_gap(gauge: GrowthFunction, comp: GrowthFunction, s, t):

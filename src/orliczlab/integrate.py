@@ -210,23 +210,6 @@ class ElementaryProcess:
         out[:, self.break_indices[-1] :] = self.block_values[:, -1, None]
         return RealizedProcess(self.grid, out, self.coef)
 
-    def integral_double_sum(self, paths: np.ndarray) -> np.ndarray:
-        """Direct two-index sum over blocks and coordinates (reps, n+1, atoms).
-
-        Evaluates sum_i sum_j coef_j xi_i^(j) (B^j_{t ∧ s_{i+1}} - B^j_{t ∧ s_i});
-        equal to the left-point grid sum up to float reassociation.
-        """
-        reps, blocks, d = self.block_values.shape
-        n = self.grid.steps
-        k = np.arange(n + 1)
-        out = np.zeros((reps, n + 1, self.coef.shape[0]))
-        for i in range(blocks):
-            lo = np.minimum(k, self.break_indices[i])
-            hi = np.minimum(k, self.break_indices[i + 1])
-            span = paths[:, :, hi] - paths[:, :, lo]  # (reps, d, n+1)
-            out += np.einsum("aj,rj,rjk->rka", self.coef, self.block_values[:, i], span)
-        return out
-
 
 def make_elementary(
     grid: PathGrid,

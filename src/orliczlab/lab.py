@@ -27,10 +27,13 @@ Experiments
 
 Writing a Monte Carlo experiment
 --------------------------------
-Resolve sizes and params with ``_resolve``: every param key it reads has a
-default in ``experiment_defaults``.  ``run_experiment`` rejects any other
-key, a value that is not a number (or a list of numbers) where the
-default is one, and a ``replicates`` or ``grid_n`` whose default is 0.
+An experiment is one ``Experiment`` entry in ``EXPERIMENTS``: its run, the
+summary ``list-experiments`` prints, the tag its report rows carry, its
+default sizes, its ``--fast`` replicates and a default for every param key
+it reads.  ``run_experiment`` rejects any other key, a value that is not a
+number (or a list of numbers) where the default is one, and a
+``replicates`` or ``grid_n`` whose default is 0; it hands the run
+``(cfg, replicates, grid_n, params)`` with each defaulted from the entry.
 
 An experiment is a kernel plus a finalize step.  The kernel,
 ``kernel(tag, b)``, sees one tile of driver replicates ``b`` (a
@@ -64,9 +67,11 @@ from __future__ import annotations
 
 import numbers
 from collections import deque
+from collections.abc import Callable, Mapping
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 from itertools import chain, islice
+from types import MappingProxyType
 
 import numpy as np
 
@@ -98,7 +103,7 @@ __all__ = [
     "good_lambda_bound",
     "lenglart_constant",
     "EXPERIMENTS",
-    "experiment_defaults",
+    "Experiment",
     "run_experiment",
 ]
 
@@ -161,16 +166,6 @@ def lenglart_constant(q: float, kappa: float, gamma: float, p_phi: float) -> flo
 
 # ---------------------------------------------------------------------------
 # shared machinery
-
-
-def _resolve(cfg):
-    """Replicates, grid steps and params, each defaulted from ``experiment_defaults``."""
-    defaults = experiment_defaults(cfg.experiment)
-    return (
-        cfg.replicates or defaults["replicates"],
-        cfg.grid_n or defaults["grid_n"],
-        {**defaults["params"], **cfg.params},
-    )
 
 
 # Bytes of normals per tile: a tile's paths and the kernel's arrays on them
@@ -342,6 +337,8 @@ def _stability_rows(prefix, ratio_fine, ratio_coarse, tol, grid_n) -> list:
 
 # Largest over smallest ratio a sweep of stopping times (and scales) may span.
 _SPREAD_FACTOR = 10.0
+# Horizon of the vector integrals: orlicz_bdg's and the lenglart Orlicz pair's.
+_VECTOR_HORIZON = 2.0
 
 
 def _spread_row(label, ratios, factor, grid_n, extras=None) -> RatioReport:
@@ -361,9 +358,8 @@ def _scaling_row(label, scaled, base, grid_n) -> RatioReport:
 # analytic experiments
 
 
-def run_young(cfg) -> ExperimentResult:
+def run_young(cfg, _replicates, grid_pts, params) -> ExperimentResult:
     """Young's inequality st <= L(s) + comp(t) for strict N-function gauges."""
-    _, grid_pts, params = _resolve(cfg)
     s_grid = np.geomspace(0.05, 20.0, grid_pts)
     t_grid = np.geomspace(0.05, 20.0, grid_pts)
     candidates = list(registry_gauges().items())
@@ -392,9 +388,8 @@ def run_young(cfg) -> ExperimentResult:
     return ExperimentResult("young", reports)
 
 
-def run_moment_constant(cfg) -> ExperimentResult:
+def run_moment_constant(cfg, _replicates, _grid_n, params) -> ExperimentResult:
     """Feasibility of the derived moment constant across the parameter grid."""
-    _, _, params = _resolve(cfg)
     reports = []
     for line in (1, 2):
         for beta in params["betas"]:
@@ -415,9 +410,8 @@ def run_moment_constant(cfg) -> ExperimentResult:
 # Ito isometry
 
 
-def run_isometry(cfg) -> ExperimentResult:
+def run_isometry(cfg, replicates, n, params) -> ExperimentResult:
     """E |I_tau|^2 = E eta_tau per (integrand, stopping time, atom, grid)."""
-    replicates, n, params = _resolve(cfg)
     space = DiscreteMeasureSpace(params["weights"])
     gauge = get_gauge("power_2")
     specs = [
@@ -460,9 +454,8 @@ def run_isometry(cfg) -> ExperimentResult:
 # good-lambda tail lines
 
 
-def run_good_lambda(cfg) -> ExperimentResult:
+def run_good_lambda(cfg, replicates, n, params) -> ExperimentResult:
     """Tail domination for (B*_tau, sqrt(tau)), tau = capped first exit."""
-    replicates, n, params = _resolve(cfg)
     betas = tuple(params["betas"])
     deltas = tuple(params["deltas"])
     for key, values in (("betas", betas), ("deltas", deltas)):
@@ -517,9 +510,8 @@ def run_good_lambda(cfg) -> ExperimentResult:
 # scalar BDG bracket
 
 
-def run_bdg_scalar(cfg) -> ExperimentResult:
+def run_bdg_scalar(cfg, replicates, n, params) -> ExperimentResult:
     """Doob bracket E sup|M|^2 / E<M> in [1, 4] for the suite martingales."""
-    replicates, n, params = _resolve(cfg)
     space1 = DiscreteMeasureSpace([1.0])
     sign_spec = ProcessSpec("sign_of_B1")
 
@@ -553,9 +545,8 @@ def run_bdg_scalar(cfg) -> ExperimentResult:
 # Doob-Orlicz maximal comparison
 
 
-def run_doob_orlicz(cfg) -> ExperimentResult:
+def run_doob_orlicz(cfg, replicates, n, params) -> ExperimentResult:
     """Hypothesis audit and conclusion E L(xi) <= C E L(eta) for the pair suite."""
-    replicates, n, params = _resolve(cfg)
     lambdas = np.asarray(params["lambdas"], dtype=float)
 
     power2 = get_gauge("power_2")
@@ -620,9 +611,8 @@ def run_doob_orlicz(cfg) -> ExperimentResult:
 CERTIFIED_PAIRS = ("scalar", "orlicz")
 
 
-def run_lenglart(cfg) -> ExperimentResult:
+def run_lenglart(cfg, replicates, n, params) -> ExperimentResult:
     """Certified domination pairs: hypothesis audit, tail line, conclusion."""
-    replicates, n, params = _resolve(cfg)
     pair_list = params["pairs"]
     if isinstance(pair_list, str):
         pair_list = (pair_list,)
@@ -714,8 +704,7 @@ def _lenglart_scalar(seed, replicates, n, params):
 def _lenglart_orlicz(seed, replicates, params):
     """xi = vector integral, rho1 = modular difference, N = clock modular."""
     n_master = params["orlicz_grid_n"]
-    horizon = 2.0
-    grid = PathGrid(horizon, n_master)
+    grid = PathGrid(_VECTOR_HORIZON, n_master)
     space = DiscreteMeasureSpace(params["weights"])
     gauge = get_gauge("power_2")
     gamma1 = phi_of(gauge, 2.0)  # triangle constant of the modular difference
@@ -783,10 +772,9 @@ def _lenglart_orlicz(seed, replicates, params):
 _LAMBDA2_ENVELOPE = 50.0
 
 
-def run_orlicz_bdg(cfg) -> ExperimentResult:
+def run_orlicz_bdg(cfg, replicates, n, params) -> ExperimentResult:
     """E Phi(sup_t [I_t]) vs E Phi([sqrt(eta_tau)]) in both directions."""
-    replicates, n, params = _resolve(cfg)
-    horizon = 2.0
+    horizon = _VECTOR_HORIZON
     space = DiscreteMeasureSpace(params["weights"])
     space1 = DiscreteMeasureSpace([1.0])
     sweep_times = (0.5, 1.0, 2.0)
@@ -879,62 +867,60 @@ def run_orlicz_bdg(cfg) -> ExperimentResult:
 # registry
 
 
+@dataclass(frozen=True)
+class Experiment:
+    """One experiment: ``run(cfg, replicates, grid_n, params)``, the summary
+    ``list-experiments`` prints, the tag its report rows carry, its default
+    sizes (0 for a size it never reads), the replicates ``verify-paper
+    --fast`` runs it at, and a default for every param key it reads.  The
+    entries are shared, so ``params`` is read-only and holds no mutable
+    value."""
+
+    run: Callable
+    summary: str
+    tag: str
+    replicates: int = 0
+    grid_n: int = 0
+    fast_replicates: int = 0
+    params: Mapping = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
+
+
+_BETAS, _DELTAS = (1.5, 2.0, 4.0), (0.05, 0.1, 0.25)
+_WEIGHTS4 = (1.0, 1.0, 2.0, 0.5)
+
 EXPERIMENTS = {
-    "young": run_young,
-    "moment_constant": run_moment_constant,
-    "isometry": run_isometry,
-    "good_lambda": run_good_lambda,
-    "bdg_scalar": run_bdg_scalar,
-    "doob_orlicz": run_doob_orlicz,
-    "lenglart": run_lenglart,
-    "orlicz_bdg": run_orlicz_bdg,
+    "young": Experiment(run_young, "Young's inequality gap for complementary N-function pairs",
+                        "young", grid_n=32, params={"extra_gauges": ()}),
+    "moment_constant": Experiment(
+        run_moment_constant, "feasibility of the tail-to-moment constant derivation",
+        "moment-constant", params={"betas": _BETAS, "deltas": _DELTAS, "orders": (1.0, 2.0)}),
+    "isometry": Experiment(
+        run_isometry, "Ito isometry at stopping times, two grid resolutions", "ito-isometry",
+        100_000, 256, 5000,
+        {"horizon": 1.0, "weights": (1.0, 0.5), "exit_level": 1.0, "clock_threshold": 0.35}),
+    "good_lambda": Experiment(
+        run_good_lambda, "good-lambda tail lines for the capped first-exit pair", "good-lambda",
+        100_000, 2048, 5000, {"horizon": 4.0, "exit_level": 1.0, "betas": _BETAS,
+                              "deltas": _DELTAS, "lambdas": tuple(np.geomspace(0.05, 0.8, 8))}),
+    "bdg_scalar": Experiment(
+        run_bdg_scalar, "scalar BDG/Doob bracket for suite martingales", "bdg-scalar",
+        100_000, 1024, 5000, {"horizon": 1.0}),
+    "doob_orlicz": Experiment(
+        run_doob_orlicz, "Orlicz Doob maximal comparison with hypothesis audit", "doob-orlicz",
+        100_000, 1024, 5000, {"horizon": 1.0, "lambdas": tuple(np.geomspace(0.1, 2.0, 8))}),
+    # one table for both pairs; the Orlicz pair runs on orlicz_grid_n
+    "lenglart": Experiment(
+        run_lenglart, "Lenglart-type domination for certified pairs", "lenglart",
+        40_000, 2048, 2000, {"pairs": CERTIFIED_PAIRS, "horizon": 4.0,
+                             "lambdas": tuple(np.geomspace(0.1, 1.2, 6)), "orlicz_grid_n": 1024,
+                             "weights": _WEIGHTS4, "clock_threshold": 0.5}),
+    "orlicz_bdg": Experiment(
+        run_orlicz_bdg, "two-sided Orlicz BDG for vector stochastic integrals", "orlicz-bdg",
+        20_000, 512, 2000, {"weights": _WEIGHTS4}),
 }
-
-EXPERIMENT_SUMMARY = {
-    "young": "Young's inequality gap for complementary N-function pairs",
-    "moment_constant": "feasibility of the tail-to-moment constant derivation",
-    "isometry": "Ito isometry at stopping times, two grid resolutions",
-    "good_lambda": "good-lambda tail lines for the capped first-exit pair",
-    "bdg_scalar": "scalar BDG/Doob bracket for suite martingales",
-    "doob_orlicz": "Orlicz Doob maximal comparison with hypothesis audit",
-    "lenglart": "Lenglart-type domination for certified pairs",
-    "orlicz_bdg": "two-sided Orlicz BDG for vector stochastic integrals",
-}
-
-
-def experiment_defaults(name: str) -> dict:
-    """Default knob values an experiment resolves when the config omits them.
-
-    ``params`` lists every key the experiment reads; ``run_experiment``
-    rejects any other.
-    """
-    betas, deltas = (1.5, 2.0, 4.0), (0.05, 0.1, 0.25)
-    weights4 = [1.0, 1.0, 2.0, 0.5]
-    defaults = {
-        "young": {"replicates": 0, "grid_n": 32,
-                  "params": {"extra_gauges": []}},
-        "moment_constant": {"replicates": 0, "grid_n": 0,
-                            "params": {"betas": betas, "deltas": deltas, "orders": (1.0, 2.0)}},
-        "isometry": {"replicates": 100_000, "grid_n": 256,
-                     "params": {"horizon": 1.0, "weights": [1.0, 0.5], "exit_level": 1.0,
-                                "clock_threshold": 0.35}},
-        "good_lambda": {"replicates": 100_000, "grid_n": 2048,
-                        "params": {"horizon": 4.0, "exit_level": 1.0, "betas": betas,
-                                   "deltas": deltas, "lambdas": np.geomspace(0.05, 0.8, 8)}},
-        "bdg_scalar": {"replicates": 100_000, "grid_n": 1024, "params": {"horizon": 1.0}},
-        "doob_orlicz": {"replicates": 100_000, "grid_n": 1024,
-                        "params": {"horizon": 1.0, "lambdas": np.geomspace(0.1, 2.0, 8)}},
-        # one table for both pairs; the Orlicz pair runs on orlicz_grid_n
-        "lenglart": {"replicates": 40_000, "grid_n": 2048,
-                     "params": {"pairs": CERTIFIED_PAIRS, "horizon": 4.0,
-                                "lambdas": np.geomspace(0.1, 1.2, 6), "orlicz_grid_n": 1024,
-                                "weights": weights4, "clock_threshold": 0.5}},
-        "orlicz_bdg": {"replicates": 20_000, "grid_n": 512,
-                       "params": {"weights": weights4}},
-    }
-    if name not in defaults:
-        raise LabError(f"unknown experiment {name!r}; known: {', '.join(sorted(EXPERIMENTS))}")
-    return defaults[name]
 
 
 def _is_real(value) -> bool:
@@ -946,17 +932,17 @@ def _is_reals(value) -> bool:
 
 
 def run_experiment(cfg) -> ExperimentResult:
-    """Dispatch a validated config to its experiment."""
-    if cfg.experiment not in EXPERIMENTS:
+    """Validate a config against its experiment's entry and run it."""
+    exp = EXPERIMENTS.get(cfg.experiment)
+    if exp is None:
         raise LabError(
             f"unknown experiment {cfg.experiment!r}; known: {', '.join(sorted(EXPERIMENTS))}"
         )
-    defaults = experiment_defaults(cfg.experiment)
     for size in ("replicates", "grid_n"):
         # a size whose default is 0 is one the experiment never reads
-        if getattr(cfg, size) is not None and not defaults[size]:
+        if getattr(cfg, size) is not None and not getattr(exp, size):
             raise LabError(f"{cfg.experiment}: {size} is not used; leave it unset")
-    known = defaults["params"]
+    known = exp.params
     unknown = sorted(repr(key) for key in cfg.params if key not in known)
     if unknown:
         raise LabError(
@@ -972,4 +958,5 @@ def run_experiment(cfg) -> ExperimentResult:
             raise LabError(
                 f"{cfg.experiment}: params.{key} must be a list of numbers, got {value!r}"
             )
-    return EXPERIMENTS[cfg.experiment](cfg)
+    return exp.run(cfg, cfg.replicates or exp.replicates, cfg.grid_n or exp.grid_n,
+                   {**known, **cfg.params})

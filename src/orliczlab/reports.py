@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ExperimentConfig
+from .lab import EXPERIMENTS
 from .stats import ExperimentResult, RatioReport
 
 __all__ = ["ReportError", "CSV_COLUMNS", "params_hash", "result_records", "emit_report"]
@@ -36,18 +37,6 @@ CSV_COLUMNS = (
     "grid_n",
     "verdict",
 )
-
-# one neutral provenance tag per experiment kind, carried on every summary row
-EXPERIMENT_TAGS = {
-    "young": "young",
-    "moment_constant": "moment-constant",
-    "isometry": "ito-isometry",
-    "good_lambda": "good-lambda",
-    "bdg_scalar": "bdg-scalar",
-    "doob_orlicz": "doob-orlicz",
-    "lenglart": "lenglart",
-    "orlicz_bdg": "orlicz-bdg",
-}
 
 
 def _jsonable(value):
@@ -132,7 +121,8 @@ def emit_report(out_dir, runs: list[tuple[ExperimentConfig, ExperimentResult]]) 
     all_ok = True
     lines = ["inequality lab summary", ""]
     for name, results in by_kind.items():
-        tag = EXPERIMENT_TAGS.get(name, name)
+        # one neutral provenance tag per experiment kind, carried on every summary row
+        tag = EXPERIMENTS[name].tag if name in EXPERIMENTS else name
         for result in results:
             ok = result.passed
             all_ok = all_ok and ok

@@ -11,10 +11,12 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
+from orliczlab import cli
 from orliczlab.cli import main
 from orliczlab.config import ConfigError, ExperimentConfig, dump_config, load_config
 from orliczlab.lab import run_experiment
 from orliczlab.reports import CSV_COLUMNS, ReportError, emit_report, params_hash, result_records
+from orliczlab.stats import ExperimentResult
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +170,49 @@ def test_cli_list_verbs():
     assert "power_2: t^2" in gauges.output
     experiments = runner.invoke(main, ["list-experiments"])
     assert experiments.exit_code == 0
-    for name in ("young", "isometry", "good_lambda", "orlicz_bdg"):
-        assert name in experiments.output
+    assert experiments.output.splitlines() == [
+        "young: Young's inequality gap for complementary N-function pairs",
+        "moment_constant: feasibility of the tail-to-moment constant derivation",
+        "isometry: Ito isometry at stopping times, two grid resolutions",
+        "good_lambda: good-lambda tail lines for the capped first-exit pair",
+        "bdg_scalar: scalar BDG/Doob bracket for suite martingales",
+        "doob_orlicz: Orlicz Doob maximal comparison with hypothesis audit",
+        "lenglart: Lenglart-type domination for certified pairs",
+        "orlicz_bdg: two-sided Orlicz BDG for vector stochastic integrals",
+    ]
+
+
+# (replicates, grid_n) of each config verify-paper builds, then its --fast replicates;
+# the params hash digests the config, so these values (and the Nones) pin the reports
+_VERIFY_SIZES = {
+    "young": (None, 32, None),
+    "moment_constant": (None, None, None),
+    "isometry": (100_000, 256, 5000),
+    "good_lambda": (100_000, 2048, 5000),
+    "bdg_scalar": (100_000, 1024, 5000),
+    "doob_orlicz": (100_000, 1024, 5000),
+    "lenglart": (40_000, 2048, 2000),
+    "orlicz_bdg": (20_000, 512, 2000),
+}
+
+
+@pytest.mark.parametrize("fast", [False, True])
+def test_verify_paper_builds_each_config(tmp_path, monkeypatch, fast):
+    seen = []
+
+    def record(cfg):
+        seen.append(cfg)
+        return ExperimentResult(cfg.experiment, [])
+
+    monkeypatch.setattr(cli, "run_experiment", record)
+    args = ["verify-paper", "--seed", "7", "--out", str(tmp_path)] + (["--fast"] if fast else [])
+    res = CliRunner().invoke(main, args)
+    assert isinstance(res.exception, SystemExit), res.output  # rowless results exit 1
+    assert [cfg.experiment for cfg in seen] == list(_VERIFY_SIZES)
+    for cfg in seen:
+        replicates, grid_n, fast_replicates = _VERIFY_SIZES[cfg.experiment]
+        assert (cfg.replicates, cfg.grid_n) == (fast_replicates if fast else replicates, grid_n)
+        assert (cfg.seed, cfg.params) == (7, {})
 
 
 # any scipy import raises once sys.modules maps the name to None

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -278,6 +279,22 @@ def test_complementary_quadrature_route_has_a_derivative():
     t = np.geomspace(0.1, 10.0, 13)
     assert_allclose(comp.derivative(t), t / 2.0, rtol=0.0, atol=1e-12)
     assert np.isfinite(G.complementary_gauge(G.get_gauge("power_log_2")).derivative(1.0))
+
+
+def test_numeric_complement_non_finite_arguments():
+    # a NaN reads NaN, as in every closed-form complement, and leaves the
+    # other arguments alone; t = inf is refused up front, by name
+    comp = G.complementary_gauge(G.get_gauge("power_log_2"))
+    vals = comp(np.array([-1.0, 0.0, 2.0, 2.0, np.nan]))
+    assert vals[:2].tolist() == [0.0, 0.0] and vals[2] == vals[3]
+    assert vals[2] == pytest.approx(float(comp(2.0)), rel=1e-15)
+    assert np.isnan(vals[4]) and np.isnan(comp(np.nan))
+    assert np.isnan(G.complementary_gauge(G.get_gauge("power_2"))(np.nan))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in (np.inf, np.array([1.0, np.inf])):
+            with pytest.raises(G.GaugeError, match=r"complement\(power_log_2\).*inf"):
+                comp(t)
 
 
 def _scalar_right_inverse(a, u):

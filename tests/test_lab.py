@@ -1,5 +1,6 @@
 """Tests for the experiment lab: constants, quasi-metrics, experiment runs."""
 
+import numbers
 import sys
 import threading
 import time
@@ -19,7 +20,6 @@ from orliczlab.lab import (
     _max_to_hit,
     _execute,
     derive_moment_constant,
-    experiment_defaults,
     good_lambda_bound,
     lenglart_constant,
     run_experiment,
@@ -114,8 +114,6 @@ def test_quasimetric_gamma_values():
 def test_unknown_experiment_rejected():
     with pytest.raises(LabError, match="unknown experiment"):
         run_experiment(ExperimentConfig(experiment="nope"))
-    with pytest.raises(LabError, match="unknown experiment"):
-        experiment_defaults("nope")
 
 
 def test_unknown_params_rejected():
@@ -127,7 +125,7 @@ def test_unknown_params_rejected():
     # the knobs the suite and the benchmark pass stay known
     for name, key in (("lenglart", "pairs"), ("moment_constant", "orders"),
                       ("young", "extra_gauges"), ("lenglart", "orlicz_grid_n")):
-        assert key in experiment_defaults(name)["params"]
+        assert key in EXPERIMENTS[name].params
 
 
 def test_verdict_bounds_are_not_params():
@@ -170,9 +168,15 @@ def test_registry_and_defaults_cover_each_other():
         "lenglart",
         "orlicz_bdg",
     }
-    for name in EXPERIMENTS:
-        defaults = experiment_defaults(name)
-        assert {"replicates", "grid_n"} <= set(defaults)
+
+
+def test_experiment_defaults_are_immutable():
+    # the table is built once and shared by every run, so no run may change a default
+    for exp in EXPERIMENTS.values():
+        with pytest.raises(TypeError):
+            exp.params["horizon"] = 0.0
+        for value in exp.params.values():
+            assert isinstance(value, (numbers.Real, str, tuple)), value
 
 
 # ---------------------------------------------------------------------------
