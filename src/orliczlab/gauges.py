@@ -492,29 +492,39 @@ def complementary_gauge(gauge: GrowthFunction) -> GrowthFunction:
 
     Uses the closed form when the family has one, else integrates the right
     inverse of the right derivative over the gaps between the sorted
-    arguments in one :func:`_quad` call.  Raises :class:`NotNFunctionError`
-    when the strict N-function probe rejects the gauge.
+    arguments in one :func:`_quad` call.  On every route a negative or NaN
+    argument reads NaN: a gauge is stated for t >= 0.  Raises
+    :class:`NotNFunctionError` when the strict N-function probe rejects the
+    gauge.
     """
     if not _is_n_function(gauge):
         raise NotNFunctionError(
             f"gauge {gauge.label} failed the N-function probe; no complementary gauge"
         )
-    if gauge._complement is not None:
-        return gauge._complement()
+    comp = gauge._complement() if gauge._complement is not None else _numeric_complement(gauge)
+    ev = comp._eval
+    return replace(comp, _eval=lambda t: ev(np.where(t < 0.0, np.nan, t)))
+
+
+def _numeric_complement(gauge: GrowthFunction) -> GrowthFunction:
     atilde = _right_inverse_of_derivative(gauge)
     label = f"complement({gauge.label})"
 
     def ev(t):
-        t = np.asarray(t, dtype=float)
         flat = np.atleast_1d(t).ravel()
         if np.isposinf(flat).any():
             raise GaugeError(f"{label}: t = inf has no quadrature; the argument must be finite")
         order = np.argsort(flat)
-        # running max of the sorted t clipped at 0 (NaN last, read as 0), so a
-        # t at or below the previous one adds an empty gap; a NaN then reads NaN
+        # running max of the sorted t (NaN last, read as 0), so a t at or
+        # below the previous one adds an empty gap; a NaN then reads NaN
         edges = np.maximum.accumulate(np.fmax(flat[order], 0.0))
+        try:
+            gaps = _quad(atilde, np.concatenate([[0.0], edges])[:-1], edges)
+        except BracketError as err:  # a t past the right inverse's bracket, say
+            msg = f"{label}: no quadrature up to t = {float(edges[-1])!r}: {err}"
+            raise BracketError(msg) from None
         vals = np.empty(flat.shape)
-        vals[order] = np.cumsum(_quad(atilde, np.concatenate([[0.0], edges])[:-1], edges))
+        vals[order] = np.cumsum(gaps)
         vals[np.isnan(flat)] = np.nan
         return vals.reshape(t.shape) if t.shape else np.float64(vals[0])
 

@@ -39,24 +39,27 @@ An experiment is a kernel plus a finalize step.  The kernel,
 ``kernel(tag, b)``, sees one tile of driver replicates ``b`` (a
 ``BrownianBatch``) and yields ``(key, (lhs, rhs, *bounds))``: both sides of
 an inequality as per-replicate arrays, on shared replicates, and the bounds
-whose rows should carry the paired slack.  Every key carries ``tag`` when
-the experiment runs on two grids.  A kernel must treat each replicate on
-its own (prefix sums, maxima, hitting times and modulars run along time or
-atoms, never across replicates), so its outputs do not depend on how the
-rows are cut into tiles.  Kernels run two at a time, on worker threads, so
-a kernel must also be a pure function of its tile: it changes nothing
-outside its outputs (no closure list, no counter).  What finalize needs
-besides the tally (a sample, a count) goes out under a key that begins
-with ``_``, as ``(values,)``; the executor keeps those values in tile
-order and does not tally them.
+whose rows should carry the paired slack.  A sweep over K levels (the
+lambdas of a tail line) yields one row group instead: ``(rows, K)`` sides
+under one key, whose column k is tallied as key ``(*key, k)``.  Every key
+carries ``tag`` when the experiment runs on two grids.  A kernel must treat
+each replicate on its own (prefix sums, maxima, hitting times and modulars
+run along time or atoms, never across replicates), so its outputs do not
+depend on how the rows are cut into tiles.  Kernels run two at a time, on
+worker threads, so a kernel must also be a pure function of its tile: it
+changes nothing outside its outputs (no closure list, no counter).  What
+finalize needs besides the tally (a sample, a count) goes out under a key
+that begins with ``_``, as ``(values,)``; the executor keeps those values
+in tile order and does not tally them.
 
 ``_execute(seed, name, coords, grid, replicates, batch, kernel, factor)``
-owns the rest: it draws the driver per tile on one worker thread; it runs
-the kernel on each tile on two more, as ``"4n"`` on the grid refined by
-``factor = 4`` and then as ``"n"`` coarsened back to ``grid``; and, on the
-calling thread, it reads the tiles' outputs in tile order and feeds a
-``_Tally`` once per batch with them concatenated.  ``tally.kept`` holds
-the ``_`` keys' values.
+owns the rest, at two grains: it draws the driver in blocks of about
+4 MiB of normals on one worker thread; it runs the kernel on kernel tiles
+of about 1 MiB, row slices of a block, on two more, as ``"4n"`` on the
+grid refined by ``factor = 4`` and then as ``"n"`` coarsened back to
+``grid``; and, on the calling thread, it reads the tiles' outputs in tile
+order and feeds a ``_Tally`` once per batch with them concatenated.
+``tally.kept`` holds the ``_`` keys' values.
 Finalize then builds the rows from the returned tally with ``_Tally.row``
 (``reverse=True`` checks rhs against lhs) at ``tally.steps[tag]``.
 Deterministic rows come from ``_exact_row`` and its forms
@@ -168,18 +171,21 @@ def lenglart_constant(q: float, kappa: float, gamma: float, p_phi: float) -> flo
 # shared machinery
 
 
-# Bytes of normals per tile: a tile's paths and the kernel's arrays on them
-# stay a few MiB each, whatever the batch size, with two tiles in kernels.
-_TILE_BYTES = 4 << 20
+# Bytes of normals per kernel tile: a tile's paths and the kernel's arrays on
+# them stay near a MiB each, whatever the batch size, with two tiles in kernels.
+_TILE_BYTES = 1 << 20
+# Kernel tiles per draw: each ``draw_tiles`` step fills a block of about
+# 4 MiB of normals, which its tiles take as row slices.
+_DRAW_TILES = 4
 # Tile kernels that run at once, each on its own worker thread: one per core.
 _KERNEL_THREADS = 2
 
 
 def _tile_rows(size: int, row_bytes: int) -> list:
-    """Rows per tile of a ``size``-row batch: as many as ``_TILE_BYTES``
-    holds, at least 2.  A 1-row remainder joins the tile before it: numpy
-    takes a (1, atoms) @ weights product down its dot path, whose bits
-    differ from the gemv of more rows."""
+    """Rows per kernel tile of a ``size``-row batch: as many as
+    ``_TILE_BYTES`` holds, at least 2.  A 1-row remainder joins the tile
+    before it: numpy takes a (1, atoms) @ weights product down its dot path,
+    whose bits differ from the gemv of more rows."""
     rows = max(2, _TILE_BYTES // row_bytes)
     tiles = [min(rows, size - done) for done in range(0, size, rows)]
     if len(tiles) > 1 and tiles[-1] == 1:
@@ -192,49 +198,60 @@ def _execute(seed: int, name: str, coords: int, grid: PathGrid, replicates: int,
     """Run ``kernel`` over every driver tile and tally its outputs per batch.
 
     Batch ``i`` draws substream ``(name, "batch", i)`` on ``grid`` refined by
-    ``factor``, in row tiles (``_tile_rows``).  Each tile goes to
-    ``kernel("n", tile)``; with ``factor > 1`` to ``kernel(f"{factor}n",
-    tile)`` and then to ``kernel("n", coarse)``, the same driver on
-    ``grid``.  A kernel yields ``(key, (lhs, rhs, *bounds))`` pairs with
-    per-replicate ``lhs`` and ``rhs``, each key once per tile.  Once per
-    batch, each key's arrays are concatenated in tile order and added as
-    ``tally.add(key, lhs, rhs, *bounds)``, keys in the order first
-    yielded: a batch's sums stay one pairwise sum, whatever its tiles.  A
-    key that begins with ``_`` yields ``(values,)`` instead, as often as it
-    likes; it is not tallied, and ``tally.kept[key]`` holds its values of
-    every tile concatenated in tile order.  The tally's ``steps`` maps each
-    tag to its grid steps.
+    ``factor``.  The executor works at two grains.  A kernel tile is a run
+    of rows (``_tile_rows``, about ``_TILE_BYTES`` of normals); a draw block
+    is ``_DRAW_TILES`` consecutive tiles of a batch, filled by one
+    ``draw_tiles`` step, and each of its tiles is a row slice of it.  Each
+    tile goes to ``kernel("n", tile)``; with ``factor > 1`` to
+    ``kernel(f"{factor}n", tile)`` and then to ``kernel("n", coarse)``, the
+    same driver on ``grid``.  A kernel yields ``(key, (lhs, rhs, *bounds))``
+    pairs with per-replicate ``lhs`` and ``rhs``, each key once per tile;
+    a ``(rows, K)`` pair is a row group, whose column k the tally adds as
+    key ``(*key, k)``.  Once per batch, each key's arrays are concatenated
+    in tile order and added as ``tally.add(key, lhs, rhs, *bounds)``, keys
+    in the order first yielded: a batch's sums stay one pairwise sum,
+    whatever its tiles.  A key that begins with ``_`` yields ``(values,)``
+    instead, as often as it likes; it is not tallied, and
+    ``tally.kept[key]`` holds its values of every tile concatenated in tile
+    order.  The tally's ``steps`` maps each tag to its grid steps.
 
     Up to ``_KERNEL_THREADS`` tiles are in kernels at once, each job on a
-    worker thread: ``simulate_batch``, the kernel calls and copies of their
-    outputs, so no view keeps a tile alive.  The calling thread reads the
-    jobs in tile order, never in completion order, so a kernel must be a
-    pure function of its tile.  One more worker draws the normals two tiles
-    ahead of the last job begun.  The draw stays sequential: a batch's
-    generators continue from tile to tile, so the bits are those of drawing
-    whole batches in sequence.  An error in a draw or a kernel reaches the
-    caller once the jobs before it are read; jobs not begun are cancelled
-    and running ones waited for.
+    worker thread: ``simulate_batch`` on the tile's slice of its block, the
+    kernel calls and copies of their outputs, so no view keeps a block
+    alive past its tiles.  The calling thread reads the jobs in tile order,
+    never in completion order, so a kernel must be a pure function of its
+    tile.  One more worker draws the blocks two ahead of the block whose
+    tiles are being begun.  The draw stays sequential: a batch's generators
+    continue from block to block, so the bits are those of drawing whole
+    batches in sequence.  An error in a draw or a kernel reaches the caller
+    once the jobs before it are read; jobs not begun are cancelled and
+    running ones waited for.
     """
     fine = PathGrid(grid.horizon, grid.steps * factor)
     plan = [_tile_rows(min(batch, replicates - done), coords * fine.steps * 8)
             for done in range(0, replicates, batch)]
-    normals = (tile for i, rows in enumerate(plan)
-               for tile in draw_tiles(seed, (name, "batch", i), coords, fine.steps, rows))
+    blocks = [[tiles[i:i + _DRAW_TILES] for i in range(0, len(tiles), _DRAW_TILES)]
+              for tiles in plan]  # per batch, the kernel tiles of each draw block
+    normals = (block for i, batch_blocks in enumerate(blocks)
+               for block in draw_tiles(seed, (name, "batch", i), coords, fine.steps,
+                                       list(map(sum, batch_blocks))))
     tally = _Tally({"n": grid.steps, f"{factor}n": fine.steps})
     drawer, pool = ThreadPoolExecutor(max_workers=1), ThreadPoolExecutor(_KERNEL_THREADS)
 
-    def job(draw):
-        tile = simulate_batch(draw.result(), fine)
+    def job(draw, rows):
+        tile = simulate_batch(draw.result()[:, rows], fine)
         outs = kernel("n", tile) if factor == 1 else chain(
             kernel(f"{factor}n", tile), kernel("n", tile.coarsened(factor)))
         return [(key, [np.array(a) for a in sides[:2]], sides[2:]) for key, sides in outs]
 
-    def jobs():  # one per tile, in tile order
+    def jobs():  # one per kernel tile, in tile order
         draws = deque(drawer.submit(next, normals, None) for _ in range(2))
-        for _ in range(sum(map(len, plan))):
+        for tiles in chain.from_iterable(blocks):
             draws.append(drawer.submit(next, normals, None))
-            yield pool.submit(job, draws.popleft())
+            draw, start = draws.popleft(), 0
+            for rows in tiles:
+                yield pool.submit(job, draw, slice(start, start + rows))
+                start += rows
 
     try:
         pending = jobs()
@@ -269,6 +286,10 @@ class _Tally:
         self._diffs = {}
 
     def add(self, key, lhs, rhs, *bounds) -> None:
+        if np.ndim(lhs) == 2:  # a row group: column k is key (*key, k)
+            for k in range(lhs.shape[1]):
+                self.add((*key, k), lhs[:, k], rhs[:, k], *bounds)
+            return
         if key not in self._sides:
             self._sides[key] = (RunningMoments(), RunningMoments())
         self._sides[key][0].add(lhs)
@@ -472,13 +493,11 @@ def run_good_lambda(cfg, replicates, n, params) -> ExperimentResult:
         y = np.sqrt(tau * b.grid.dt)
         for line in (1, 2):
             big, small = (x[:, None], y[:, None]) if line == 1 else (y[:, None], x[:, None])
-            over = big > lambdas  # (rows, lambdas), one column per row key
+            over = big > lambdas  # (rows, lambdas): a row group, key k per lambda
             for beta in betas:
                 high = big > beta * lambdas
                 for delta in deltas:
-                    joint = high & (small < delta * lambdas)
-                    for k in range(lambdas.size):
-                        yield ("tail", tag, line, beta, delta, k), (joint[:, k], over[:, k])
+                    yield ("tail", tag, line, beta, delta), (high & (small < delta * lambdas), over)
         for p in (1, 2):
             yield ("moment", tag, p), (x**p, y**p)
 
@@ -566,13 +585,12 @@ def run_doob_orlicz(cfg, replicates, n, params) -> ExperimentResult:
         pairs = {"identity": (terminal, terminal), "dominated": (terminal, supremum),
                  "doob": (supremum, terminal)}
         for pname, (xi, eta) in pairs.items():
-            for k, lam in enumerate(lambdas):
-                on = xi >= lam
-                lhs_s = lam * on
-                rhs_s = eta * on
-                yield ("hypothesis", tag, pname, k), (lhs_s, rhs_s, 1.0)
-                if pname == "dominated":
-                    yield "_violations", (lhs_s > rhs_s,)
+            on = xi[:, None] >= lambdas  # (rows, lambdas): a row group, key k per lambda
+            lhs_s = lambdas * on
+            rhs_s = eta[:, None] * on
+            yield ("hypothesis", tag, pname), (lhs_s, rhs_s, 1.0)
+            if pname == "dominated":
+                yield "_violations", (lhs_s > rhs_s,)
             for gname, gauge in gauges:
                 # (doob, lambda_2) feeds only the stability rows: no difference is read
                 paired = () if (pname, gname) == ("doob", "lambda_2") else (
@@ -666,10 +684,11 @@ def _lenglart_scalar(seed, replicates, n, params):
             yield ("hypothesis", w), ((b_tau - _take_at(path, sigma)) ** 2, sigma < tau)
         # one-step tail line P(M* >= lam) <= kappa (2 g eps)^q P(2 g M* >= lam)
         #                                     + P(N > eps lam), with g=1, q=2
+        # (rows, lambdas): a row group, key ("tail", k) per lambda
         shrink = (2.0 * eps) ** 2
-        for k, lam in enumerate(lambdas):
-            rhs_s = shrink * (2.0 * star >= lam) + (np.sqrt(clock) > eps * lam)
-            yield ("tail", k), (star >= lam, rhs_s, 1.0)
+        star_col = star[:, None]
+        rhs_s = shrink * (2.0 * star_col >= lambdas) + (np.sqrt(clock)[:, None] > eps * lambdas)
+        yield ("tail",), (star_col >= lambdas, rhs_s, 1.0)
         yield "conclusion", (star**2, clock, c_star)
         run_max = running_abs_max(path, sweep_idx)
         for k, t_stop in enumerate(sweep_times):

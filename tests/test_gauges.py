@@ -283,10 +283,11 @@ def test_complementary_quadrature_route_has_a_derivative():
 
 def test_numeric_complement_non_finite_arguments():
     # a NaN reads NaN, as in every closed-form complement, and leaves the
-    # other arguments alone; t = inf is refused up front, by name
+    # other arguments alone; t = inf is refused up front, by name, and a t
+    # too large for the right inverse's bracket is named with its complement
     comp = G.complementary_gauge(G.get_gauge("power_log_2"))
     vals = comp(np.array([-1.0, 0.0, 2.0, 2.0, np.nan]))
-    assert vals[:2].tolist() == [0.0, 0.0] and vals[2] == vals[3]
+    assert np.isnan(vals[0]) and vals[1] == 0.0 and vals[2] == vals[3]
     assert vals[2] == pytest.approx(float(comp(2.0)), rel=1e-15)
     assert np.isnan(vals[4]) and np.isnan(comp(np.nan))
     assert np.isnan(G.complementary_gauge(G.get_gauge("power_2"))(np.nan))
@@ -295,6 +296,21 @@ def test_numeric_complement_non_finite_arguments():
         for t in (np.inf, np.array([1.0, np.inf])):
             with pytest.raises(G.GaugeError, match=r"complement\(power_log_2\).*inf"):
                 comp(t)
+        for t in (1e300, np.array([1.0, 1e300, 2.0])):
+            with pytest.raises(G.BracketError, match=r"complement\(power_log_2\).*t = 1e\+300"):
+                comp(t)
+
+
+@pytest.mark.parametrize("name", ["power_2", "power_1_5", "power_log_2"])
+def test_complement_reads_nan_at_negative_arguments(name):
+    # closed forms of even (q = 2) and odd (q = 3) conjugate exponent, and the
+    # quadrature route: a gauge is stated for t >= 0, so every route reads NaN
+    comp = G.complementary_gauge(G.get_gauge(name))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals = comp(np.array([-1.0, 2.0, -5e-324, 0.0]))
+        assert np.isnan(comp(-1.0)) and np.isnan(vals[[0, 2]]).all()
+        assert vals[3] == 0.0 and vals[1] == pytest.approx(float(comp(2.0)), rel=1e-15)
 
 
 def _scalar_right_inverse(a, u):

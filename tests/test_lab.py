@@ -478,33 +478,49 @@ def _tile_record(tag, b):
     yield f"_paths{tag}", (b.paths,)
 
 
+# draw blocks per batch of tiles 3, 3, 4, at each count of kernel tiles a draw holds
+BLOCKS = {1: [[3, 3, 4], [3, 3, 4], [3]], 2: [[6, 4], [6, 4], [3]], 4: [[10], [10], [3]]}
+
+
 @pytest.mark.parametrize("coords", [1, 2])
 @pytest.mark.parametrize("factor", [1, 4])
 def test_views_match_sequential_batches_bitwise(coords, factor, monkeypatch):
     grid = PathGrid(1.0, 32)
-    monkeypatch.setattr(lab, "_TILE_BYTES", 3 * coords * 32 * 8)  # 3 rows a tile
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # interleave the draw and kernel threads often
-    try:
-        # batches 10, 10, 3; tiles 3, 3, 4 (the 1-row remainder folded), 3
-        kept = _execute(6, "views", coords, PathGrid(1.0, 32 // factor), 23, 10, _tile_record,
-                        factor).kept
-    finally:
-        sys.setswitchinterval(interval)
     ref = []
     for index, size in enumerate((10, 10, 3)):
         b = simulate_batch(draw_normals(6, ("views", "batch", index), coords, 32, size), grid)
         ref += [("n", b)] if factor == 1 else [("4n", b), ("n", b.coarsened(4))]
     tags = ["n"] if factor == 1 else ["4n", "n"]
-    assert list(kept["_tags"]) == tags * 7
-    assert list(kept[f"_rows{tags[0]}"]) == [3, 3, 4, 3, 3, 4, 3]
-    for tag in tags:
-        want = [r for t, r in ref if t == tag]
-        assert (kept[f"_grid{tag}"] == [want[0].grid.horizon, want[0].grid.steps]).all()
-        assert kept[f"_rows{tag}"].sum() == sum(r.replicates for r in want)
-        for attr in ("increments", "paths"):
-            assert np.array_equal(kept[f"_{attr}{tag}"],
-                                  np.concatenate([getattr(r, attr) for r in want]))
+    monkeypatch.setattr(lab, "_TILE_BYTES", 3 * coords * 32 * 8)  # 3 rows a tile
+    blocks = []
+
+    def draws(*args):  # the rows of each block a batch's draw fills
+        blocks.append(list(args[-1]))
+        return draw_tiles(*args)
+
+    monkeypatch.setattr(lab, "draw_tiles", draws)
+    for tiles_per_block, want_blocks in BLOCKS.items():
+        monkeypatch.setattr(lab, "_DRAW_TILES", tiles_per_block)
+        blocks.clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the draw and kernel threads often
+        try:
+            # batches 10, 10, 3; tiles 3, 3, 4 (the 1-row remainder folded), 3; a
+            # draw block holds up to tiles_per_block of them as row slices
+            kept = _execute(6, "views", coords, PathGrid(1.0, 32 // factor), 23, 10,
+                            _tile_record, factor).kept
+        finally:
+            sys.setswitchinterval(interval)
+        assert blocks == want_blocks, tiles_per_block
+        assert list(kept["_tags"]) == tags * 7
+        assert list(kept[f"_rows{tags[0]}"]) == [3, 3, 4, 3, 3, 4, 3]
+        for tag in tags:
+            want = [r for t, r in ref if t == tag]
+            assert (kept[f"_grid{tag}"] == [want[0].grid.horizon, want[0].grid.steps]).all()
+            assert kept[f"_rows{tag}"].sum() == sum(r.replicates for r in want)
+            for attr in ("increments", "paths"):
+                assert np.array_equal(kept[f"_{attr}{tag}"],
+                                      np.concatenate([getattr(r, attr) for r in want]))
 
 
 def _extra_threads_joined(baseline, timeout=5.0) -> int:
@@ -571,7 +587,13 @@ def test_tiles_finishing_out_of_order_tally_in_tile_order(monkeypatch, threads):
     grid = PathGrid(1.0, 16)
     starts = [t[0, 0, 0] * np.sqrt(grid.dt) for i, size in enumerate((10, 10, 3))
               for t in draw_tiles(5, ("order", "batch", i), 1, 16, lab._tile_rows(size, 16 * 8))]
-    done = []
+    done, blocks = [], []
+
+    def draws(*args):  # the rows of each block a batch's draw fills
+        blocks.append(list(args[-1]))
+        return draw_tiles(*args)
+
+    monkeypatch.setattr(lab, "draw_tiles", draws)
 
     def kernel(tag, b):
         tile = starts.index(b.increments[0, 0, 0])  # simulate_batch scales by the same factor
@@ -586,6 +608,7 @@ def test_tiles_finishing_out_of_order_tally_in_tile_order(monkeypatch, threads):
         monkeypatch.setattr(lab, "_KERNEL_THREADS", n)
         adds.clear()
         done.clear()
+        blocks.clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -594,6 +617,7 @@ def test_tiles_finishing_out_of_order_tally_in_tile_order(monkeypatch, threads):
             sys.setswitchinterval(interval)
         runs[n] = list(adds), list(done)
     (seq, seq_done), (par, par_done) = runs[1], runs[threads]
+    assert blocks == [[10], [10], [3]]  # tiles 0-2 and 3-5 are row slices of one draw each
     assert seq_done == list(range(7)) and sorted(par_done) == seq_done
     assert par_done.index(1) < par_done.index(0)  # a later tile finished first
     assert [key for key, *_ in par] == [key for key, *_ in seq] == [("sup", "n"), "end"] * 3
@@ -606,18 +630,23 @@ def test_tiles_finishing_out_of_order_tally_in_tile_order(monkeypatch, threads):
 def test_orlicz_bdg_sample_is_the_first_replicates_when_a_later_tile_finishes_first(monkeypatch):
     """The norm-agreement rows read the first 32 replicates of batch 0, in
     tile order, although the first tile's job finishes after later ones."""
-    monkeypatch.setattr(lab, "_TILE_BYTES", 8 * 2 * 64 * 8)  # 8 rows a tile
+    monkeypatch.setattr(lab, "_TILE_BYTES", 8 * 2 * 64 * 8)  # 8 rows a tile, 32 a block
     drawn, begun = [], []
 
     def draws(seed, stream, *args):
-        for tile in draw_tiles(seed, stream, *args):
-            drawn.append(tile)
-            yield tile
+        for block in draw_tiles(seed, stream, *args):
+            drawn.append(block)
+            yield block
+
+    def tile_of(normals):
+        """(draw block, first row) of a kernel tile, a row slice of its block."""
+        block = next(i for i, t in enumerate(drawn) if normals.base is t)
+        return block, (normals.ctypes.data - drawn[block].ctypes.data) // normals.strides[1]
 
     def slow_first(normals, grid):
-        if normals is drawn[0] and lab._KERNEL_THREADS > 1:
+        if tile_of(normals) == (0, 0) and lab._KERNEL_THREADS > 1:
             time.sleep(0.5)
-        begun.append(next(i for i, t in enumerate(drawn) if t is normals))
+        begun.append(tile_of(normals))
         return simulate_batch(normals, grid)
 
     samples = []
@@ -635,7 +664,8 @@ def test_orlicz_bdg_sample_is_the_first_replicates_when_a_later_tile_finishes_fi
         begun.clear()
         res = small("orlicz_bdg", replicates=100, grid_n=16)
         assert all(r.passed for r in res.reports if r.label.startswith("norm-agreement"))
-    assert begun.index(1) < begun.index(0)  # with two threads, tile 1 began its kernel first
+    # with two threads, tile 1 (rows 8-15 of the first block) began its kernel first
+    assert begun.index((0, 8)) < begun.index((0, 0))
     seq, par = samples[0], samples[2]
     assert seq.shape == (32, 4) and np.array_equal(par, seq)
 
@@ -646,6 +676,33 @@ def test_tile_rows_fold_a_one_row_remainder(monkeypatch):
     assert lab._tile_rows(14, 100) == [6, 6, 2]
     assert lab._tile_rows(1, 100) == [1]  # a 1-row batch is a whole batch
     assert lab._tile_rows(5, 10_000) == [2, 3]  # at least 2 rows a tile
+
+
+def test_tally_row_group_adds_each_column_as_a_key():
+    """One (rows, K) add tallies as K contiguous column adds, bit for bit."""
+    rng = substream(9, "row-group")
+    lhs = rng.standard_normal((37, 5))
+    rhs = rng.standard_normal((37, 5)) > 0.3  # a boolean side, as the tail lines yield
+    edge = rng.standard_normal(37)
+    group, columns = lab._Tally({}), lab._Tally({})
+    for tally in (group, columns):
+        tally.add("first", edge, edge * edge, 1.0)
+    group.add(("tail", "n"), lhs, rhs, 1.0, 2.5)
+    for k in range(5):
+        columns.add(("tail", "n", k), np.ascontiguousarray(lhs[:, k]),
+                    np.ascontiguousarray(rhs[:, k]), 1.0, 2.5)
+    for tally in (group, columns):
+        tally.add("last", edge, edge * edge)
+    keys = ["first", *(("tail", "n", k) for k in range(5)), "last"]
+    assert list(group.keys()) == list(columns.keys()) == keys
+
+    def moments(tally):  # every accumulator, in insertion order
+        state = lambda m: (m.count, m.total, m.total_sq)
+        return ([(key, [state(m) for m in acc]) for key, acc in tally._sides.items()],
+                [(key, state(m)) for key, m in tally._diffs.items()])
+
+    assert moments(group) == moments(columns)
+    assert len(group._diffs) == 1 + 5 * 2
 
 
 # Every Monte Carlo experiment on ragged tiles of 6 rows (12 for the
