@@ -465,19 +465,21 @@ def _right_inverse_of_derivative(gauge: GrowthFunction) -> Callable:
         if np.any(u < 0.0):
             raise GaugeError("right inverse needs u >= 0")
         flat = u.ravel()
+        keep = ~np.isnan(flat)  # a NaN level reads NaN, without bisecting
         lo, hi = np.zeros(flat.shape), np.ones(flat.shape)
         # doubling from 1 while a(hi) <= u; every moving element has one hi
-        live = np.flatnonzero(~(a(hi) > flat))
+        live = np.flatnonzero(keep & ~(a(hi) > flat))
         while live.size:
             lo[live] = hi[live]
             hi[live] *= 2.0
             live = live[~(a(hi[live]) > flat[live])]
             if live.size and hi[live[0]] > 1e30:
                 raise BracketError("right inverse: derivative never exceeds level")
-        live = np.arange(flat.size)
+        live = np.flatnonzero(keep)
         while True:
             live = live[hi[live] - lo[live] > 1e-13 * np.maximum(hi[live], 1.0)]
             if not live.size:
+                hi[~keep] = np.nan
                 return hi.reshape(u.shape)
             mid = 0.5 * (lo[live] + hi[live])
             above = a(mid) > flat[live]
@@ -493,7 +495,8 @@ def complementary_gauge(gauge: GrowthFunction) -> GrowthFunction:
     Uses the closed form when the family has one, else integrates the right
     inverse of the right derivative over the gaps between the sorted
     arguments in one :func:`_quad` call.  On every route a negative or NaN
-    argument reads NaN: a gauge is stated for t >= 0.  Raises
+    argument reads NaN, in the value and the derivative alike: a gauge is
+    stated for t >= 0.  Raises
     :class:`NotNFunctionError` when the strict N-function probe rejects the
     gauge.
     """
@@ -502,8 +505,8 @@ def complementary_gauge(gauge: GrowthFunction) -> GrowthFunction:
             f"gauge {gauge.label} failed the N-function probe; no complementary gauge"
         )
     comp = gauge._complement() if gauge._complement is not None else _numeric_complement(gauge)
-    ev = comp._eval
-    return replace(comp, _eval=lambda t: ev(np.where(t < 0.0, np.nan, t)))
+    nan_below_0 = lambda f: lambda t: f(np.where(t < 0.0, np.nan, t))
+    return replace(comp, _eval=nan_below_0(comp._eval), _deriv=nan_below_0(comp._deriv))
 
 
 def _numeric_complement(gauge: GrowthFunction) -> GrowthFunction:

@@ -7,10 +7,7 @@ only.  The integral is the left-point sum
     I_t(x) = sum_{k < t} sum_j X_j(t_k, x) (B^j_{k+1} - B^j_k)
 
 with running energy eta_t(x) = sum_{k < t} |X(t_k, x)|^2 dt, and the
-triple norm is the modular of sqrt(eta) across atoms.  Elementary
-processes are blockwise constant with grid-aligned breakpoints; their
-block values are produced from the truncated driver history only, so
-adaptedness holds by construction.
+triple norm is the modular of sqrt(eta) across atoms.
 
 Every integrand is factored: its value on atom a along driver coordinate j
 is ``coef[a, j] * g[r, k, j]``, an adapted factor g per coordinate times a
@@ -29,7 +26,6 @@ energy paths (reps, n+1, atoms).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -40,9 +36,7 @@ from .spaces import DiscreteMeasureSpace, modular_of_norms
 __all__ = [
     "ProcessError",
     "ProcessSpec",
-    "ElementaryProcess",
     "RealizedProcess",
-    "make_elementary",
     "ito_integral",
     "eta_paths",
     "triple_norm_path",
@@ -188,65 +182,6 @@ class RealizedProcess:
         return eta_paths(self.values, self.coef, self.grid.dt)
 
 
-@dataclass(frozen=True)
-class ElementaryProcess:
-    """Blockwise-constant process: grid-aligned breakpoints plus block values
-    per driver coordinate, scaled per atom by ``coef``."""
-
-    grid: PathGrid
-    break_indices: np.ndarray  # (blocks + 1,), ascending, within [0, n]
-    block_values: np.ndarray  # (reps, blocks, d)
-    coef: np.ndarray  # (atoms, d)
-
-    def realize(self) -> RealizedProcess:
-        reps, blocks, d = self.block_values.shape
-        n = self.grid.steps
-        out = np.zeros((reps, n + 1, d))
-        for i in range(blocks):
-            lo, hi = self.break_indices[i], self.break_indices[i + 1]
-            out[:, lo:hi] = self.block_values[:, i, None]
-        # carry the final block value onto the closing grid point; the
-        # integral never reads it, realizations stay block-shaped
-        out[:, self.break_indices[-1] :] = self.block_values[:, -1, None]
-        return RealizedProcess(self.grid, out, self.coef)
-
-
-def make_elementary(
-    grid: PathGrid,
-    break_indices: np.ndarray,
-    value_fn: Callable[[int, np.ndarray], np.ndarray],
-    paths: np.ndarray,
-    coef: np.ndarray,
-) -> ElementaryProcess:
-    """Build an elementary process from per-block value functions.
-
-    ``value_fn(i, history)`` receives the driver truncated at the block's
-    start, shape (reps, coords, s_i + 1), and must return (reps, d) values,
-    one per leading driver coordinate; it cannot read past the breakpoint,
-    so the result is adapted by construction.  ``coef`` (atoms, d) scales
-    the values per atom.
-    """
-    idx = np.asarray(break_indices, dtype=np.int64)
-    if idx.ndim != 1 or idx.size < 2:
-        raise ProcessError("need at least one block (two breakpoints)")
-    if np.any(np.diff(idx) <= 0) or idx[0] < 0 or idx[-1] > grid.steps:
-        raise ProcessError("breakpoints must ascend within the grid")
-    reps = paths.shape[0]
-    blocks = idx.size - 1
-    first = np.asarray(value_fn(0, paths[:, :, : idx[0] + 1]), dtype=float)
-    if first.ndim != 2 or first.shape[0] != reps:
-        raise ProcessError(f"value function must return (reps, d); got {first.shape}")
-    d = first.shape[1]
-    coef = np.asarray(coef, dtype=float)
-    if coef.ndim != 2 or coef.shape[1] != d:
-        raise ProcessError(f"coef must have shape (atoms, {d}); got {coef.shape}")
-    vals = np.empty((reps, blocks, d))
-    vals[:, 0] = first
-    for i in range(1, blocks):
-        vals[:, i] = value_fn(i, paths[:, :, : idx[i] + 1])
-    return ElementaryProcess(grid, idx, vals, coef)
-
-
 # ---------------------------------------------------------------------------
 # named integrand rules
 
@@ -290,9 +225,12 @@ class ProcessSpec:
         if self.rule == "sign_of_B1":
             if not 1 <= self.blocks <= n:
                 raise ProcessError(f"sign_of_B1: blocks must be in [1, {n}], got {self.blocks}")
-            idx = np.unique(np.linspace(0, n, self.blocks + 1).astype(np.int64))
-            value_fn = lambda i, history: np.sign(history[:, :1, -1])
-            return make_elementary(grid, idx, value_fn, paths, e1).realize()
+            starts = np.unique(np.linspace(0, n, self.blocks + 1).astype(np.int64))[:-1]
+            # the sign at each block start, held over its block; the last
+            # block's also on the closing grid point, which the integral never reads
+            widths = np.diff(starts, append=n + 1)
+            signs = np.repeat(np.sign(paths[:, 0, starts]), widths, axis=1)
+            return RealizedProcess(grid, signs[:, :, None], e1)
         if self.rule == "two_coord_mix":
             if coords < 2:
                 raise ProcessError("rule 'two_coord_mix' needs 2 driver coordinates")

@@ -23,7 +23,10 @@ Experiments
   conclusion for the certified scalar and Orlicz-integral pairs.
 - ``orlicz_bdg``: the two-sided supremum/clock comparison for vector
   integrals in modular form, with refinement, sweep, and norm-agreement
-  checks.
+  checks.  Its cases are one table, ``_BDG_CASES``: a frozen ``_BdgCase``
+  per (integrand rule, gauge) holds the forward and reverse bounds, whether
+  they are a placeholder envelope, and whether the case has a scaling row;
+  the kernel realizes each rule once and loops over its cases.
 
 Writing a Monte Carlo experiment
 --------------------------------
@@ -63,7 +66,9 @@ order and feeds a ``_Tally`` once per batch with them concatenated.
 Finalize then builds the rows from the returned tally with ``_Tally.row``
 (``reverse=True`` checks rhs against lhs) at ``tally.steps[tag]``.
 Deterministic rows come from ``_exact_row`` and its forms
-``_stability_rows``, ``_spread_row`` and ``_scaling_row``.
+``_stability_rows``, ``_spread_row`` and ``_scaling_row``.  Every supremum
+goes through ``paths.running_abs_max``, a stopped one through
+``_max_to_hit``, so patching those two reaches them all.
 """
 
 from __future__ import annotations
@@ -540,10 +545,10 @@ def run_bdg_scalar(cfg, replicates, n, params) -> ExperimentResult:
         for c, paired in ((1.0, (4.0, 1.0)), (2.0, ())):  # M -> 2M: B -> 2B and X -> 2X
             if c != 1.0:
                 path, inc = c * path, c * inc
-            yield ("bm", c), (np.abs(path).max(axis=1) ** 2, quadratic_variation(inc)[:, -1],
-                              *paired)
+            yield ("bm", c), (running_abs_max(path, [b.grid.steps])[:, 0] ** 2,
+                              quadratic_variation(inc)[:, -1], *paired)
             scaled = replace(realized, coef=c * realized.coef)
-            sup = np.abs(scaled.integral(b.increments)[:, :, 0]).max(axis=1)
+            sup = running_abs_max(scaled.integral(b.increments)[:, :, 0], [b.grid.steps])[:, 0]
             yield ("sign_integral", c), (sup**2, scaled.eta()[:, -1, 0], *paired)
 
     tally = _execute(cfg.seed, "bdg_scalar", 1, PathGrid(params["horizon"], n), replicates,
@@ -581,7 +586,7 @@ def run_doob_orlicz(cfg, replicates, n, params) -> ExperimentResult:
 
     def kernel(tag, b):
         terminal = np.abs(b.paths[:, 0, -1])
-        supremum = np.abs(b.paths[:, 0, :]).max(axis=1)
+        supremum = running_abs_max(b.paths[:, 0, :], [b.grid.steps])[:, 0]
         pairs = {"identity": (terminal, terminal), "dominated": (terminal, supremum),
                  "doob": (supremum, terminal)}
         for pname, (xi, eta) in pairs.items():
@@ -786,50 +791,66 @@ def _lenglart_orlicz(seed, replicates, params):
 # two-sided Orlicz comparison for vector integrals
 
 
-# Both directions of the lambda_2 rows are checked against this placeholder,
-# not a certified paper constant; their rows carry bound_kind "envelope".
-_LAMBDA2_ENVELOPE = 50.0
+@dataclass(frozen=True)
+class _BdgCase:
+    """One ``orlicz_bdg`` case: integrand ``rule`` under ``gauge``, checked as
+    sup modular <= ``forward`` * clock modular and clock modular <=
+    ``reverse`` * sup modular at every read time and scale.  ``envelope``
+    marks bounds that are placeholders, not certified paper constants;
+    ``scaling`` adds the row checking the ratio's invariance under X -> cX."""
+
+    rule: str
+    gauge: str
+    forward: float
+    reverse: float
+    envelope: bool = False
+    scaling: bool = False
+
+
+# The cases in row order.  The lambda_2 bound 50 both ways is a placeholder
+# envelope, not a certified constant.
+_BDG_CASES = (
+    _BdgCase("sign_of_B1", "power_2", 4.0, 1.0, scaling=True),
+    _BdgCase("sign_of_B1", "lambda_2", 50.0, 50.0, envelope=True),
+    _BdgCase("two_coord_mix", "power_2", 4.0, 1.0, scaling=True),
+    _BdgCase("two_coord_mix", "lambda_2", 50.0, 50.0, envelope=True),
+)
 
 
 def run_orlicz_bdg(cfg, replicates, n, params) -> ExperimentResult:
-    """E Phi(sup_t [I_t]) vs E Phi([sqrt(eta_tau)]) in both directions."""
+    """E Phi(sup_t [I_t]) vs E Phi([sqrt(eta_tau)]) in both directions, per case."""
     horizon = _VECTOR_HORIZON
     space = DiscreteMeasureSpace(params["weights"])
     space1 = DiscreteMeasureSpace([1.0])
     sweep_times = (0.5, 1.0, 2.0)
     scales = (0.5, 1.0, 2.0)
 
-    power2 = get_gauge("power_2")
-    lambda2 = get_gauge("lambda_2")
-    if not classify_gauge(lambda2).a2_operational:
+    if not classify_gauge(get_gauge("lambda_2")).a2_operational:
         raise LabError("lambda_2 fails the operational A2 probe")
-    gauges = (("power_2", power2), ("lambda_2", lambda2))
-    specs = [
-        ProcessSpec("sign_of_B1"),
-        ProcessSpec("two_coord_mix"),
-    ]
+    gauges = {case.gauge: get_gauge(case.gauge) for case in _BDG_CASES}
     single_spec = ProcessSpec("constant_e1")
 
     def kernel(tag, b):
         times, cs = (sweep_times, scales) if tag == "4n" else ((horizon,), (1.0,))
         read = [b.grid.index_of(t) for t in times]
-        for spec in specs:
-            realized = spec.realize(b.paths, b.grid, space)
+        for rule in dict.fromkeys(case.rule for case in _BDG_CASES):  # each rule realized once
+            realized = ProcessSpec(rule).realize(b.paths, b.grid, space)
             abs_integral = np.abs(realized.integral(b.increments))
             eta = realized.eta()
             roots = [np.sqrt(eta[:, i]) for i in read]
             for c in cs:
                 # every scale is evaluated, so the scaling rows compare two computations
                 scaled = c * abs_integral
-                for gname, gauge in gauges:
+                for case in [x for x in _BDG_CASES if x.rule == rule]:
+                    gauge = gauges[case.gauge]
                     # the modular is >= 0, so its running max is its running abs max
                     sup = running_abs_max(modular_of_norms(scaled, space.weights, gauge), read)
-                    # only a fine reverse row at bound 1 reads the paired difference
-                    paired = (1.0,) if tag == "4n" and gname == "power_2" else ()
+                    # a fine reverse row reads the paired difference at bound 1 only
+                    paired = (1.0,) if tag == "4n" and case.reverse == 1.0 else ()
                     for k, (t_stop, root) in enumerate(zip(times, roots)):
                         clock = modular_of_norms(c * root, space.weights, gauge)
-                        yield (spec.rule, gname, tag, t_stop, c), (sup[:, k], clock, *paired)
-            if tag == "4n" and spec.rule == "two_coord_mix":  # for the norm-agreement rows
+                        yield (rule, case.gauge, tag, t_stop, c), (sup[:, k], clock, *paired)
+            if tag == "4n" and rule == "two_coord_mix":  # for the norm-agreement rows
                 yield "_sample", (np.sqrt(eta[:32, -1, :]),)
         if tag == "4n":
             # single-atom reduction: X = e1, modular path = B^2, clock = t
@@ -842,31 +863,29 @@ def run_orlicz_bdg(cfg, replicates, n, params) -> ExperimentResult:
     tally = _execute(cfg.seed, "orlicz_bdg", 2, PathGrid(horizon, n), replicates, 512, kernel, 4)
     steps = tally.steps
     reports = []
-    for spec in specs:
-        for gname, _ in gauges:
-            fwd_bound = 4.0 if gname == "power_2" else _LAMBDA2_ENVELOPE
-            rev_bound = 1.0 if gname == "power_2" else _LAMBDA2_ENVELOPE
-            extras = {} if gname == "power_2" else {"bound_kind": "envelope"}
-            ratios = {}
-            for t_stop in sweep_times:
-                for c in scales:
-                    key = (spec.rule, gname, "4n", t_stop, c)
-                    ratios[(t_stop, c)] = tally.ratio(key)
-                    label = f"{spec.rule}:{gname}:T{t_stop}:c{c}"
-                    reports.append(tally.row(f"forward:{label}", key, fwd_bound, steps["4n"],
-                                             extras))
-                    reports.append(tally.row(f"reverse:{label}", key, rev_bound, steps["4n"],
-                                             extras, reverse=True))
-            reports.append(_spread_row(f"sweep:{spec.rule}:{gname}", ratios.values(),
-                                       _SPREAD_FACTOR, steps["4n"], {"combos": len(ratios)}))
-            r_coarse = tally.ratio((spec.rule, gname, "n", horizon, 1.0))
-            reports.extend(_stability_rows(f"stability:{spec.rule}:{gname}",
-                                           ratios[(horizon, 1.0)], r_coarse, 0.15, steps["n"]))
-            if gname == "power_2":
-                # homogeneity: each scale's ratio, from its own sums, equals c = 1's bitwise
-                reports.append(_scaling_row(f"scaling-exact:{spec.rule}",
-                                            [ratios[(1.0, c)] for c in scales],
-                                            ratios[(1.0, 1.0)], steps["4n"]))
+    for case in _BDG_CASES:
+        name = f"{case.rule}:{case.gauge}"
+        extras = {"bound_kind": "envelope"} if case.envelope else {}
+        ratios = {}
+        for t_stop in sweep_times:
+            for c in scales:
+                key = (case.rule, case.gauge, "4n", t_stop, c)
+                ratios[(t_stop, c)] = tally.ratio(key)
+                label = f"{name}:T{t_stop}:c{c}"
+                reports.append(tally.row(f"forward:{label}", key, case.forward, steps["4n"],
+                                         extras))
+                reports.append(tally.row(f"reverse:{label}", key, case.reverse, steps["4n"],
+                                         extras, reverse=True))
+        reports.append(_spread_row(f"sweep:{name}", ratios.values(), _SPREAD_FACTOR, steps["4n"],
+                                   {"combos": len(ratios)}))
+        r_coarse = tally.ratio((case.rule, case.gauge, "n", horizon, 1.0))
+        reports.extend(_stability_rows(f"stability:{name}", ratios[(horizon, 1.0)], r_coarse,
+                                       0.15, steps["n"]))
+        if case.scaling:
+            # homogeneity: each scale's ratio, from its own sums, equals c = 1's bitwise
+            reports.append(_scaling_row(f"scaling-exact:{case.rule}",
+                                        [ratios[(1.0, c)] for c in scales],
+                                        ratios[(1.0, 1.0)], steps["4n"]))
     reports.append(tally.row("single-atom-fwd", "single", 4.0, steps["4n"]))
     reports.append(tally.row("single-atom-rev", "single", 1.0, steps["4n"], reverse=True))
     sample = tally.kept["_sample"][:32]  # the first 32 replicates' terminal norms

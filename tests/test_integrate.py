@@ -6,13 +6,12 @@ from numpy.testing import assert_allclose
 
 from orliczlab.gauges import get_gauge
 from orliczlab.integrate import (
-    ElementaryProcess,
+    PROCESS_RULES,
     ProcessError,
     ProcessSpec,
     coarsen_samples,
     eta_paths,
     ito_integral,
-    make_elementary,
     triple_norm_path,
 )
 from orliczlab.paths import PathGrid, draw_normals, hitting_index, simulate_batch
@@ -26,20 +25,23 @@ def small_bundle(coords=1, n=64, reps=50, seed=7, stream=("itest",)):
     return simulate_batch(draw_normals(seed, stream, coords, n, reps), PathGrid(1.0, n))
 
 
-def integral_double_sum(elem, paths):
+def integral_double_sum(break_indices, block_values, coef, paths):
     """Direct two-index sum over blocks and coordinates (reps, n+1, atoms).
 
-    Evaluates sum_i sum_j coef_j xi_i^(j) (B^j_{t ∧ s_{i+1}} - B^j_{t ∧ s_i});
-    equal to the left-point grid sum up to float reassociation.
+    ``block_values`` (reps, blocks, d) holds the value xi_i on block
+    [s_i, s_{i+1}) of the ascending ``break_indices`` s, which end at n, and
+    ``coef`` (atoms, d) scales it per atom.  Evaluates
+    sum_i sum_j coef_j xi_i^(j) (B^j_{t ∧ s_{i+1}} - B^j_{t ∧ s_i}); equal to
+    the left-point grid sum up to float reassociation.
     """
-    reps, blocks = elem.block_values.shape[:2]
-    k = np.arange(elem.grid.steps + 1)
-    out = np.zeros((reps, k.size, elem.coef.shape[0]))
+    reps, blocks, d = block_values.shape
+    k = np.arange(break_indices[-1] + 1)
+    out = np.zeros((reps, k.size, coef.shape[0]))
     for i in range(blocks):
-        lo = np.minimum(k, elem.break_indices[i])
-        hi = np.minimum(k, elem.break_indices[i + 1])
-        span = paths[:, :, hi] - paths[:, :, lo]  # (reps, d, n+1)
-        out += np.einsum("aj,rj,rjk->rka", elem.coef, elem.block_values[:, i], span)
+        lo = np.minimum(k, break_indices[i])
+        hi = np.minimum(k, break_indices[i + 1])
+        span = paths[:, :d, hi] - paths[:, :d, lo]  # (reps, d, n+1)
+        out += np.einsum("aj,rj,rjk->rka", coef, block_values[:, i], span)
     return out
 
 
@@ -83,16 +85,10 @@ class TestExactIdentities:
 
     def test_elementary_double_sum_equals_left_sum(self):
         bundle = small_bundle(n=64, reps=40)
-        space = SPACE2
         idx = np.array([0, 16, 32, 48, 64])
-
-        def value_fn(i, history):
-            return np.sign(history[:, :1, -1]) * (i + 1)
-
-        coef = np.array([[1.0], [0.5]])
-        elem = make_elementary(bundle.grid, idx, value_fn, bundle.paths, coef)
-        left = elem.realize().integral(bundle.increments)
-        double = integral_double_sum(elem, bundle.paths)
+        x = ProcessSpec("sign_of_B1", blocks=4).realize(bundle.paths, bundle.grid, SPACE2)
+        left = x.integral(bundle.increments)
+        double = integral_double_sum(idx, x.values[:, idx[:-1]], x.coef, bundle.paths)
         assert_allclose(double, left, rtol=1e-12, atol=1e-13)
 
     def test_stopped_integrand_identity(self):
@@ -268,29 +264,6 @@ class TestSpecsAndValidation:
             assert_allclose(x.coef[a, 1] * x.values[:, k, 1],
                             c[a] * np.tanh(bundle.paths[:, 1, k]), rtol=1e-15, atol=0)
 
-    def test_elementary_zero_before_first_breakpoint(self):
-        bundle = small_bundle(n=64, reps=4)
-        idx = np.array([16, 32])
-
-        def value_fn(i, history):
-            assert history.shape[-1] == idx[i] + 1  # truncated view only
-            return np.ones((history.shape[0], 1))
-
-        elem = make_elementary(bundle.grid, idx, value_fn, bundle.paths, np.ones((1, 1)))
-        dense = elem.realize().values
-        assert np.all(dense[:, :16] == 0.0) and np.all(dense[:, 16:] == 1.0)
-
-    def test_elementary_breakpoint_validation(self):
-        bundle = small_bundle(n=32, reps=2)
-        fn = lambda i, h: np.ones((h.shape[0], 1))
-        coef = np.ones((1, 1))
-        with pytest.raises(ProcessError, match="ascend"):
-            make_elementary(bundle.grid, np.array([0, 0, 8]), fn, bundle.paths, coef)
-        with pytest.raises(ProcessError, match="ascend"):
-            make_elementary(bundle.grid, np.array([0, 40]), fn, bundle.paths, coef)
-        with pytest.raises(ProcessError, match="coef must have shape"):
-            make_elementary(bundle.grid, np.array([0, 8]), fn, bundle.paths, np.ones((1, 2)))
-
     def test_sign_rule_block_structure(self):
         bundle = small_bundle(n=64, reps=50, stream=("itest", "signs"))
         x = ProcessSpec("sign_of_B1", blocks=8).realize(bundle.paths, bundle.grid, SPACE1)
@@ -300,3 +273,24 @@ class TestSpecsAndValidation:
         for lo in range(0, 64, 8):
             assert np.array_equal(vals[:, lo], np.sign(bundle.paths[:, 0, lo]))
             assert np.ptp(vals[:, lo : lo + 8], axis=1).max() == 0.0
+
+
+ADAPTED_SPECS = [ProcessSpec(r) for r in PROCESS_RULES if r != "coarsen_m"] + [
+    ProcessSpec("coarsen_m", m=8, inner=ProcessSpec(r)) for r in ("B1_times_e1", "two_coord_mix")]
+
+
+@pytest.mark.parametrize("spec", ADAPTED_SPECS, ids=lambda s: s.rule + (
+    f"-{s.inner.rule}" if s.inner else ""))
+@pytest.mark.parametrize("k", [0, 5, 16, 31, 47])
+def test_realization_reads_history_only(spec, k):
+    # the value at grid index k is a function of the driver on [0, k]: a new
+    # future, paths[..., k+1:], leaves values[:, :k+1] unchanged bit for bit
+    bundle = small_bundle(coords=2, n=64, reps=30, stream=("itest", "adapted", spec.rule))
+    other = small_bundle(coords=2, n=64, reps=30, stream=("itest", "adapted", "future"))
+    paths = bundle.paths.copy()
+    paths[..., k + 1:] = other.paths[..., k + 1:]
+    before = spec.realize(bundle.paths, bundle.grid, SPACE2).values
+    after = spec.realize(paths, bundle.grid, SPACE2).values
+    assert np.array_equal(after[:, :k + 1], before[:, :k + 1])
+    # and the new future reaches the values of every rule that reads the driver
+    assert not np.array_equal(after, before) or spec.rule == "constant_e1"

@@ -442,6 +442,24 @@ def test_orlicz_bdg_norm_agreement_is_tight():
             assert r.lhs.mean <= 1e-6
 
 
+def test_orlicz_bdg_case_added_through_the_table_alone(monkeypatch):
+    # LLP's constant C = (4 - p)/(2 - p) at p = 1.5, both ways: one table
+    # entry gains its rows, and every other row keeps its bits
+    base = small("orlicz_bdg", replicates=1024, grid_n=64).reports
+    case = lab._BdgCase("sign_of_B1", "power_1_5", 5.0, 5.0)
+    monkeypatch.setattr(lab, "_BDG_CASES", (*lab._BDG_CASES, case))
+    rows = small("orlicz_bdg", replicates=1024, grid_n=64).reports
+    added = [r for r in rows if ":power_1_5" in r.label and not r.label.startswith("norm-")]
+    assert [r for r in rows if r not in added] == base
+    grid = [f"sign_of_B1:power_1_5:T{t}:c{c}" for t in (0.5, 1.0, 2.0) for c in (0.5, 1.0, 2.0)]
+    assert [r.label for r in added] == [
+        *(f"{d}:{label}" for label in grid for d in ("forward", "reverse")),
+        "sweep:sign_of_B1:power_1_5", "stability:sign_of_B1:power_1_5:fine-vs-coarse",
+        "stability:sign_of_B1:power_1_5:coarse-vs-fine"]
+    assert all(r.passed for r in added)
+    assert all(r.bound == 5.0 and r.slack_stderr is None for r in added[:18])
+
+
 def test_degenerate_rows_pass_without_division():
     # rare tail events can leave both sides exactly zero; that is a pass
     from orliczlab.stats import McEstimate, RatioReport
