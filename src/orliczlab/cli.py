@@ -3,7 +3,9 @@
 Verbs: ``run`` a single YAML-configured experiment, ``verify-paper`` for the
 full verification suite, ``list-gauges`` and ``list-experiments`` for the
 registries.  Output directory resolution: ``--out`` flag, else the
-``ORLICZLAB_OUT`` environment variable, else ``./orliczlab-out``.
+``ORLICZLAB_OUT`` environment variable, else ``./orliczlab-out``.  A bad
+config or option is a usage error (exit 2, one line naming the field); a
+failed row exits 1.
 """
 
 from __future__ import annotations
@@ -14,9 +16,9 @@ from pathlib import Path
 
 import click
 
-from .config import DEFAULT_SEED, ExperimentConfig, load_config
-from .gauges import REGISTRY, gauge_from_config
-from .lab import EXPERIMENTS, run_experiment
+from .config import DEFAULT_SEED, ConfigError, ExperimentConfig, load_config
+from .gauges import REGISTRY, GaugeError, gauge_from_config
+from .lab import EXPERIMENTS, LabError, run_experiment
 from .reports import emit_report
 
 _OUT_ENV = "ORLICZLAB_OUT"
@@ -33,6 +35,16 @@ def _resolve_out(out_dir: str | None) -> Path:
     return Path(out_dir or os.environ.get(_OUT_ENV) or "orliczlab-out")
 
 
+def paper_configs(seed: int, fast: bool) -> list:
+    """The config of every experiment ``verify-paper`` runs, in table order:
+    at its default sizes, or at its ``--fast`` replicates when ``fast``."""
+    # a size the experiment never reads (0) stays unset
+    return [ExperimentConfig(experiment=name, seed=seed,
+                             replicates=(exp.fast_replicates if fast else exp.replicates) or None,
+                             grid_n=exp.grid_n or None)
+            for name, exp in EXPERIMENTS.items()]
+
+
 @click.group()
 def main() -> None:
     """Monte Carlo verification lab for martingale inequalities in Orlicz spaces."""
@@ -43,8 +55,11 @@ def main() -> None:
 @_out_option
 def run(config_path: str, out_dir: str | None) -> None:
     """Run one experiment from a YAML config and write its CSV report."""
-    cfg = load_config(config_path)
-    result = run_experiment(cfg)
+    try:
+        cfg = load_config(config_path)
+        result = run_experiment(cfg)
+    except (ConfigError, LabError, GaugeError) as err:
+        raise click.UsageError(str(err)) from err
     out = _resolve_out(out_dir)
     ok = emit_report(out, [(cfg, result)])
     n_pass = sum(r.passed for r in result.reports)
@@ -54,23 +69,20 @@ def run(config_path: str, out_dir: str | None) -> None:
 
 @main.command("verify-paper")
 @click.option("--fast", is_flag=True, help="Cut replicate counts for a quick smoke pass.")
-@click.option("--seed", default=DEFAULT_SEED, show_default=True, help="Root RNG seed.")
+@click.option("--seed", type=click.IntRange(min=0), default=DEFAULT_SEED, show_default=True,
+              help="Root RNG seed.")
 @_out_option
 def verify_paper(fast: bool, seed: int, out_dir: str | None) -> None:
     """Run the full verification suite: every experiment at default settings."""
     runs = []
     all_ok = True
-    for name, exp in EXPERIMENTS.items():
-        # a size the experiment never reads (0) stays unset
-        replicates = exp.fast_replicates if fast else exp.replicates
-        cfg = ExperimentConfig(experiment=name, seed=seed, replicates=replicates or None,
-                               grid_n=exp.grid_n or None)
+    for cfg in paper_configs(seed, fast):
         result = run_experiment(cfg)
         runs.append((cfg, result))
         all_ok = all_ok and result.passed
         n_pass = sum(r.passed for r in result.reports)
         click.echo(
-            f"{name}: {n_pass}/{len(result.reports)} rows pass"
+            f"{cfg.experiment}: {n_pass}/{len(result.reports)} rows pass"
             f" -> {'ok' if result.passed else 'FAIL'}"
         )
     out = _resolve_out(out_dir)

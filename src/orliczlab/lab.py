@@ -40,11 +40,11 @@ number (or a list of numbers) where the default is one, and a
 
 An experiment is a kernel plus a finalize step.  The kernel,
 ``kernel(tag, b)``, sees one tile of driver replicates ``b`` (a
-``BrownianBatch``) and yields ``(key, (lhs, rhs, *bounds))``: both sides of
-an inequality as per-replicate arrays, on shared replicates, and the bounds
-whose rows should carry the paired slack.  A sweep over K levels (the
-lambdas of a tail line) yields one row group instead: ``(rows, K)`` sides
-under one key, whose column k is tallied as key ``(*key, k)``.  Every key
+``BrownianBatch``) and yields ``(key, (lhs, rhs))``: both sides of an
+inequality as per-replicate arrays, on shared replicates, and nothing else;
+the bounds appear in finalize only.  A sweep over K levels (the lambdas of a
+tail line) yields one row group instead: ``(rows, K)`` sides under one key,
+whose column k is tallied as key ``(*key, k)``.  Every key
 carries ``tag`` when the experiment runs on two grids.  A kernel must treat
 each replicate on its own (prefix sums, maxima, hitting times and modulars
 run along time or atoms, never across replicates), so its outputs do not
@@ -64,7 +64,9 @@ grid refined by ``factor = 4`` and then as ``"n"`` coarsened back to
 order and feeds a ``_Tally`` once per batch with them concatenated.
 ``tally.kept`` holds the ``_`` keys' values.
 Finalize then builds the rows from the returned tally with ``_Tally.row``
-(``reverse=True`` checks rhs against lhs) at ``tally.steps[tag]``.
+(``reverse=True`` checks rhs against lhs) at ``tally.steps[tag]``; every
+such row, at any bound and in either direction, takes the paired slack of
+``stats.paired_stderr``.
 Deterministic rows come from ``_exact_row`` and its forms
 ``_stability_rows``, ``_spread_row`` and ``_scaling_row``.  Every supremum
 goes through ``paths.running_abs_max``, a stopped one through
@@ -103,7 +105,7 @@ from .paths import (
     simulate_batch,
 )
 from .spaces import DiscreteMeasureSpace, luxemburg_of_norms, modular_of_norms
-from .stats import ExperimentResult, McEstimate, RatioReport, RunningMoments
+from .stats import ExperimentResult, McEstimate, RatioReport, RunningMoments, paired_stderr
 
 __all__ = [
     "LabError",
@@ -209,11 +211,11 @@ def _execute(seed: int, name: str, coords: int, grid: PathGrid, replicates: int,
     ``draw_tiles`` step, and each of its tiles is a row slice of it.  Each
     tile goes to ``kernel("n", tile)``; with ``factor > 1`` to
     ``kernel(f"{factor}n", tile)`` and then to ``kernel("n", coarse)``, the
-    same driver on ``grid``.  A kernel yields ``(key, (lhs, rhs, *bounds))``
-    pairs with per-replicate ``lhs`` and ``rhs``, each key once per tile;
-    a ``(rows, K)`` pair is a row group, whose column k the tally adds as
-    key ``(*key, k)``.  Once per batch, each key's arrays are concatenated
-    in tile order and added as ``tally.add(key, lhs, rhs, *bounds)``, keys
+    same driver on ``grid``.  A kernel yields ``(key, (lhs, rhs))`` pairs
+    with per-replicate ``lhs`` and ``rhs``, each key once per tile; a
+    ``(rows, K)`` pair is a row group, whose column k the tally adds as key
+    ``(*key, k)``.  Once per batch, each key's arrays are concatenated in
+    tile order and added as ``tally.add(key, lhs, rhs)``, keys
     in the order first yielded: a batch's sums stay one pairwise sum,
     whatever its tiles.  A key that begins with ``_`` yields ``(values,)``
     instead, as often as it likes; it is not tallied, and
@@ -247,7 +249,7 @@ def _execute(seed: int, name: str, coords: int, grid: PathGrid, replicates: int,
         tile = simulate_batch(draw.result()[:, rows], fine)
         outs = kernel("n", tile) if factor == 1 else chain(
             kernel(f"{factor}n", tile), kernel("n", tile.coarsened(factor)))
-        return [(key, [np.array(a) for a in sides[:2]], sides[2:]) for key, sides in outs]
+        return [(key, [np.array(a) for a in sides]) for key, sides in outs]
 
     def jobs():  # one per kernel tile, in tile order
         draws = deque(drawer.submit(next, normals, None) for _ in range(2))
@@ -266,14 +268,14 @@ def _execute(seed: int, name: str, coords: int, grid: PathGrid, replicates: int,
             for _ in rows:
                 outs = running.popleft().result()
                 running.extend(islice(pending, 1))
-                for key, sides, bounds in outs:
-                    parts.setdefault(key, []).append((sides, bounds))
+                for key, sides in outs:
+                    parts.setdefault(key, []).append(sides)
             for key, values in parts.items():
-                sides = [np.concatenate(side) for side in zip(*(s for s, _ in values))]
+                sides = [np.concatenate(side) for side in zip(*values)]
                 if key[0] == "_":
                     tally.kept[key] = np.concatenate([tally.kept.get(key, sides[0][:0]), *sides])
                 else:
-                    tally.add(key, *sides, *values[0][1])
+                    tally.add(key, *sides)
     finally:  # cancel the jobs and draws not begun, wait for the running ones
         drawer.shutdown(cancel_futures=True)
         pool.shutdown(cancel_futures=True)
@@ -281,52 +283,43 @@ def _execute(seed: int, name: str, coords: int, grid: PathGrid, replicates: int,
 
 
 class _Tally:
-    """Paired moments per key: both sides on shared replicates, plus
-    ``lhs - b * rhs`` for each bound ``b`` a row is checked at."""
+    """Paired moments per key: both sides on shared replicates, plus the
+    sum of their products, from which a row at any bound reads its slack."""
 
     def __init__(self, steps) -> None:
         self.steps = steps  # grid steps per tag
         self.kept = {}  # untallied kernel outputs: key -> values in tile order
         self._sides = {}
-        self._diffs = {}
+        self._cross = {}  # key -> sum of lhs * rhs
 
-    def add(self, key, lhs, rhs, *bounds) -> None:
-        if np.ndim(lhs) == 2:  # a row group: column k is key (*key, k)
+    def add(self, key, lhs, rhs) -> None:
+        lhs, rhs = np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float)
+        if lhs.ndim == 2:  # a row group: column k is key (*key, k)
             for k in range(lhs.shape[1]):
-                self.add((*key, k), lhs[:, k], rhs[:, k], *bounds)
+                self.add((*key, k), lhs[:, k], rhs[:, k])
             return
         if key not in self._sides:
             self._sides[key] = (RunningMoments(), RunningMoments())
+            self._cross[key] = 0.0
         self._sides[key][0].add(lhs)
         self._sides[key][1].add(rhs)
-        for b in bounds:
-            self._diffs.setdefault((key, b), RunningMoments()).add(lhs - b * rhs)
+        self._cross[key] += float((lhs * rhs).sum())
 
     def keys(self):
         return self._sides.keys()
 
-    def sides(self, key):
-        lhs, rhs = self._sides[key]
-        return lhs.estimate(), rhs.estimate()
-
     def ratio(self, key) -> float:
-        lhs, rhs = self.sides(key)
-        return lhs.mean / rhs.mean
+        lhs, rhs = self._sides[key]
+        return lhs.estimate().mean / rhs.estimate().mean
 
     def row(self, label, key, bound, grid_n, extras=None, reverse=False) -> RatioReport:
-        """``lhs <= bound * rhs``, or ``rhs <= bound * lhs`` when ``reverse``.
-
-        The slack is paired where the difference at ``bound`` was added.  A
-        reverse row is paired only at bound 1, where it reads the forward
-        difference: negation leaves the stderr bit-exact.
-        """
-        lhs, rhs = self.sides(key)
-        diff = self._diffs.get((key, bound)) if not reverse or bound == 1.0 else None
+        """``lhs <= bound * rhs``, or ``rhs <= bound * lhs`` when ``reverse``,
+        with the paired slack of the two sides at ``bound``."""
+        lhs, rhs = self._sides[key]
         if reverse:
             lhs, rhs = rhs, lhs
-        return RatioReport(label, lhs, rhs, bound, grid_n,
-                           slack_stderr=None if diff is None else diff.estimate().stderr,
-                           extras=extras or {})
+        return RatioReport(label, lhs.estimate(), rhs.estimate(), bound, grid_n,
+                           paired_stderr(lhs, rhs, self._cross[key], bound), extras or {})
 
 
 def _take_at(paths_like: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -463,7 +456,7 @@ def run_isometry(cfg, replicates, n, params) -> ExperimentResult:
                 i_tau = _take_at(integral, tau)
                 eta_tau = _take_at(eta, tau)
                 for a in range(space.n_atoms):
-                    yield (spec.rule, stop, a, tag), (i_tau[:, a] ** 2, eta_tau[:, a], 1.0)
+                    yield (spec.rule, stop, a, tag), (i_tau[:, a] ** 2, eta_tau[:, a])
 
     tally = _execute(cfg.seed, "isometry", 2, PathGrid(params["horizon"], n), replicates, 2048,
                      kernel, 4)
@@ -542,14 +535,14 @@ def run_bdg_scalar(cfg, replicates, n, params) -> ExperimentResult:
     def kernel(tag, b):
         realized = sign_spec.realize(b.paths, b.grid, space1)
         path, inc = b.paths[:, 0, :], b.increments[:, 0, :]
-        for c, paired in ((1.0, (4.0, 1.0)), (2.0, ())):  # M -> 2M: B -> 2B and X -> 2X
+        for c in (1.0, 2.0):  # M -> 2M: B -> 2B and X -> 2X
             if c != 1.0:
                 path, inc = c * path, c * inc
             yield ("bm", c), (running_abs_max(path, [b.grid.steps])[:, 0] ** 2,
-                              quadratic_variation(inc)[:, -1], *paired)
+                              quadratic_variation(inc)[:, -1])
             scaled = replace(realized, coef=c * realized.coef)
             sup = running_abs_max(scaled.integral(b.increments)[:, :, 0], [b.grid.steps])[:, 0]
-            yield ("sign_integral", c), (sup**2, scaled.eta()[:, -1, 0], *paired)
+            yield ("sign_integral", c), (sup**2, scaled.eta()[:, -1, 0])
 
     tally = _execute(cfg.seed, "bdg_scalar", 1, PathGrid(params["horizon"], n), replicates,
                      2048, kernel)
@@ -593,14 +586,11 @@ def run_doob_orlicz(cfg, replicates, n, params) -> ExperimentResult:
             on = xi[:, None] >= lambdas  # (rows, lambdas): a row group, key k per lambda
             lhs_s = lambdas * on
             rhs_s = eta[:, None] * on
-            yield ("hypothesis", tag, pname), (lhs_s, rhs_s, 1.0)
+            yield ("hypothesis", tag, pname), (lhs_s, rhs_s)
             if pname == "dominated":
                 yield "_violations", (lhs_s > rhs_s,)
             for gname, gauge in gauges:
-                # (doob, lambda_2) feeds only the stability rows: no difference is read
-                paired = () if (pname, gname) == ("doob", "lambda_2") else (
-                    bounds.get((pname, gname), 1.0),)
-                yield ("conclusion", tag, pname, gname), (gauge(xi), gauge(eta), *paired)
+                yield ("conclusion", tag, pname, gname), (gauge(xi), gauge(eta))
 
     tally = _execute(cfg.seed, "doob_orlicz", 1, PathGrid(params["horizon"], n), replicates,
                      2048, kernel, 4)
@@ -684,17 +674,17 @@ def _lenglart_scalar(seed, replicates, n, params):
         b_tau = _take_at(path, tau)
         star = _max_to_hit(absb, tau, hit)
         clock = tau * b.grid.dt
-        # E (B_tau - B_sigma)^2 <= ess sup <B> P(sigma < tau)
+        # E (B_tau - B_sigma)^2 <= ess sup <B> P(sigma < tau), with ess sup <B> the horizon
         for w, sigma in windows.items():
-            yield ("hypothesis", w), ((b_tau - _take_at(path, sigma)) ** 2, sigma < tau)
+            yield ("hypothesis", w), ((b_tau - _take_at(path, sigma)) ** 2, horizon * (sigma < tau))
         # one-step tail line P(M* >= lam) <= kappa (2 g eps)^q P(2 g M* >= lam)
         #                                     + P(N > eps lam), with g=1, q=2
         # (rows, lambdas): a row group, key ("tail", k) per lambda
         shrink = (2.0 * eps) ** 2
         star_col = star[:, None]
         rhs_s = shrink * (2.0 * star_col >= lambdas) + (np.sqrt(clock)[:, None] > eps * lambdas)
-        yield ("tail",), (star_col >= lambdas, rhs_s, 1.0)
-        yield "conclusion", (star**2, clock, c_star)
+        yield ("tail",), (star_col >= lambdas, rhs_s)
+        yield "conclusion", (star**2, clock)
         run_max = running_abs_max(path, sweep_idx)
         for k, t_stop in enumerate(sweep_times):
             yield ("sweep", t_stop), (run_max[:, k] ** 2, np.full(b.replicates, t_stop))
@@ -705,9 +695,8 @@ def _lenglart_scalar(seed, replicates, n, params):
     tally = _execute(seed, "lenglart_scalar", 1, grid, replicates, 2048, kernel)
     reports = []
     for w in ("zero", "half-exit", "half-horizon"):
-        lhs, hit = tally.sides(("hypothesis", w))
-        reports.append(RatioReport(f"hypothesis:scalar:{w}", lhs, hit.scaled(horizon), 1.0, n,
-                                   extras={"ess_sup_clock": horizon}))
+        reports.append(tally.row(f"hypothesis:scalar:{w}", ("hypothesis", w), 1.0, n,
+                                 {"ess_sup_clock": horizon}))
     for k in range(lambdas.size):
         reports.append(tally.row(f"tail:scalar:lam{k}", ("tail", k), 1.0, n,
                                  {"lambda": float(lambdas[k]), "eps": eps}))
@@ -756,10 +745,10 @@ def _lenglart_orlicz(seed, replicates, params):
             rho_diff = modular_of_norms(np.abs(i_tau - _take_at(integral, sigma)), space.weights,
                                         gauge)
             clock_diff = ((eta_tau - _take_at(eta, sigma)) @ space.weights)
-            yield ("hypothesis", w), (rho_diff, clock_diff, 1.0)
-        yield "conclusion", (run_mod[:, -1], clock_path[:, -1], 4.0)
+            yield ("hypothesis", w), (rho_diff, clock_diff)
+        yield "conclusion", (run_mod[:, -1], clock_path[:, -1])
         for k, (t_stop, idx) in enumerate(zip(sweep_times, sweep_idx)):
-            yield ("sweep", t_stop), (run_mod[:, k], clock_path[:, idx], 4.0)
+            yield ("sweep", t_stop), (run_mod[:, k], clock_path[:, idx])
         one = sweep_idx[1]
         for c in (0.5, 2.0):  # X -> cX through the T = 1 sweep
             scaled = modular_of_norms(c * np.abs(integral[:, : one + 1]), space.weights, gauge)
@@ -845,11 +834,9 @@ def run_orlicz_bdg(cfg, replicates, n, params) -> ExperimentResult:
                     gauge = gauges[case.gauge]
                     # the modular is >= 0, so its running max is its running abs max
                     sup = running_abs_max(modular_of_norms(scaled, space.weights, gauge), read)
-                    # a fine reverse row reads the paired difference at bound 1 only
-                    paired = (1.0,) if tag == "4n" and case.reverse == 1.0 else ()
                     for k, (t_stop, root) in enumerate(zip(times, roots)):
                         clock = modular_of_norms(c * root, space.weights, gauge)
-                        yield (rule, case.gauge, tag, t_stop, c), (sup[:, k], clock, *paired)
+                        yield (rule, case.gauge, tag, t_stop, c), (sup[:, k], clock)
             if tag == "4n" and rule == "two_coord_mix":  # for the norm-agreement rows
                 yield "_sample", (np.sqrt(eta[:32, -1, :]),)
         if tag == "4n":
@@ -858,7 +845,7 @@ def run_orlicz_bdg(cfg, replicates, n, params) -> ExperimentResult:
             integral = realized.integral(b.increments)[:, :, 0]
             idx = b.grid.index_of(1.0)
             sup_sq = running_abs_max(integral, [idx])[:, 0] ** 2  # squaring is monotone in |x|
-            yield "single", (sup_sq, realized.eta()[:, idx, 0], 4.0)
+            yield "single", (sup_sq, realized.eta()[:, idx, 0])
 
     tally = _execute(cfg.seed, "orlicz_bdg", 2, PathGrid(horizon, n), replicates, 512, kernel, 4)
     steps = tally.steps

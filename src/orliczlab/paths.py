@@ -129,11 +129,7 @@ class BrownianBatch:
     coords: int
     replicates: int
     increments: np.ndarray
-    _paths: np.ndarray = field(default=None, repr=False)
-
-    @property
-    def paths(self) -> np.ndarray:  # (reps, coords, steps + 1)
-        return self._paths
+    paths: np.ndarray = field(repr=False)  # (reps, coords, steps + 1)
 
     def coarsened(self, factor: int) -> "BrownianBatch":
         """The same driver watched on a grid coarser by ``factor``."""
@@ -143,7 +139,7 @@ class BrownianBatch:
             coords=self.coords,
             replicates=self.replicates,
             increments=inc,
-            _paths=paths_from_increments(inc),
+            paths=paths_from_increments(inc),
         )
 
 
@@ -163,7 +159,7 @@ def simulate_batch(normals: np.ndarray, grid: PathGrid) -> BrownianBatch:
         coords=coords,
         replicates=replicates,
         increments=inc,
-        _paths=paths_from_increments(inc),
+        paths=paths_from_increments(inc),
     )
 
 

@@ -109,21 +109,20 @@ def emit_report(out_dir, runs: list[tuple[ExperimentConfig, ExperimentResult]]) 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    grouped: dict[str, list[dict]] = {}
-    by_kind: dict[str, list[ExperimentResult]] = {}
+    by_kind: dict[str, list[tuple[ExperimentConfig, ExperimentResult]]] = {}
     for cfg, result in runs:
-        grouped.setdefault(result.name, []).extend(result_records(cfg, result))
-        by_kind.setdefault(result.name, []).append(result)
+        by_kind.setdefault(result.name, []).append((cfg, result))
 
-    for name, records in grouped.items():
-        _write_csv(out / f"{name}.csv", records)
+    for name, kind_runs in by_kind.items():
+        _write_csv(out / f"{name}.csv",
+                   [record for cfg, result in kind_runs for record in result_records(cfg, result)])
 
     all_ok = True
     lines = ["inequality lab summary", ""]
-    for name, results in by_kind.items():
+    for name, kind_runs in by_kind.items():
         # one neutral provenance tag per experiment kind, carried on every summary row
         tag = EXPERIMENTS[name].tag if name in EXPERIMENTS else name
-        for result in results:
+        for _, result in kind_runs:
             ok = result.passed
             all_ok = all_ok and ok
             n_pass = sum(r.passed for r in result.reports)

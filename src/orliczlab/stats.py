@@ -1,11 +1,13 @@
 """Monte Carlo estimates and inequality verdict reports.
 
-A verdict certifies ``lhs_mean <= bound * rhs_mean + 3 * slack_stderr`` where
-the slack stderr is the paired standard error of ``lhs - bound * rhs`` when
-both sides ride the same replicates, and the combined (uncorrelated) form
-``hypot(se_lhs, bound * se_rhs)`` otherwise.  Accumulation is streaming and
-associative, so batched runs reproduce bit-identically in a fixed batch
-order.
+A verdict certifies ``lhs_mean <= bound * rhs_mean + 3 * slack_stderr``.  One
+rule gives the slack stderr: a Monte Carlo row takes both sides on the same
+replicates, and its slack stderr is the paired standard error of
+``lhs - bound * rhs`` (``paired_stderr``), read from the two sides' moments
+and the sum of their products; a deterministic row has slack 0.  A row whose
+sides are both exactly 0 therefore passes (0 <= 0).  Accumulation is
+streaming and associative, so batched runs reproduce bit-identically in a
+fixed batch order.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import numpy as np
 __all__ = [
     "McEstimate",
     "RunningMoments",
+    "paired_stderr",
     "RatioReport",
     "ExperimentResult",
 ]
@@ -35,9 +38,6 @@ class McEstimate:
     def exact(value: float, n: int = 1) -> "McEstimate":
         """A deterministic quantity dressed as an estimate (zero stderr)."""
         return McEstimate(float(value), 0.0, n)
-
-    def scaled(self, c: float) -> "McEstimate":
-        return McEstimate(c * self.mean, abs(c) * self.stderr, self.n)
 
 
 class RunningMoments:
@@ -66,6 +66,21 @@ class RunningMoments:
         return McEstimate(mean, math.sqrt(var / self.count), self.count)
 
 
+def paired_stderr(lhs: RunningMoments, rhs: RunningMoments, cross: float, bound: float) -> float:
+    """Standard error of the mean of ``l - bound * r`` over replicates shared
+    by ``lhs`` and ``rhs``, where ``cross`` is the sum of ``l * r``:
+    (n-1) var = (S_ll - n m_l^2) - 2 b (S_lr - n m_l m_r) + b^2 (S_rr - n m_r^2),
+    clamped at 0.  With ``rhs`` the same samples as ``lhs`` and b = 1 it reads
+    exactly 0."""
+    n = lhs.count
+    if n < 2:
+        return 0.0
+    m_l, m_r = lhs.total / n, rhs.total / n
+    var = ((lhs.total_sq - n * m_l * m_l) - 2.0 * bound * (cross - n * m_l * m_r)
+           + bound * bound * (rhs.total_sq - n * m_r * m_r))
+    return math.sqrt(max(var, 0.0) / (n - 1) / n)
+
+
 @dataclass(frozen=True)
 class RatioReport:
     """One inequality instance: lhs_mean <= bound * rhs_mean within 3 sigma."""
@@ -75,12 +90,8 @@ class RatioReport:
     rhs: McEstimate
     bound: float
     grid_n: int
-    slack_stderr: float | None = None
+    slack_stderr: float = 0.0  # 0 for an exact row
     extras: dict = field(default_factory=dict)
-
-    @property
-    def degenerate(self) -> bool:
-        return self.lhs.mean == 0.0 and self.rhs.mean == 0.0
 
     @property
     def ratio(self) -> float:
@@ -90,17 +101,10 @@ class RatioReport:
 
     @property
     def slack(self) -> float:
-        se = (
-            self.slack_stderr
-            if self.slack_stderr is not None
-            else math.hypot(self.lhs.stderr, self.bound * self.rhs.stderr)
-        )
-        return 3.0 * se
+        return 3.0 * self.slack_stderr
 
     @property
     def passed(self) -> bool:
-        if self.degenerate:
-            return True
         return self.lhs.mean <= self.bound * self.rhs.mean + self.slack
 
     @property

@@ -292,6 +292,27 @@ def test_cli_bad_config_reports_field(tmp_path):
     ))
     runner = CliRunner()
     res = runner.invoke(main, ["run", str(config), "--out", str(tmp_path / "o")])
-    assert res.exit_code != 0
-    assert isinstance(res.exception, Exception)
-    assert "powr" in str(res.exception) and "extra_gauges" in str(res.exception)
+    _assert_usage_error(res, "powr", "params.extra_gauges[0]")
+    assert not (tmp_path / "o").exists()
+
+
+def _assert_usage_error(res, *names):
+    """Exit 2, apart from a failed row's 1, with one error line naming the field."""
+    assert res.exit_code == 2, res.output
+    assert "Traceback" not in res.output
+    errors = [line for line in res.output.splitlines() if line.startswith("Error:")]
+    assert len(errors) == 1 and all(name in errors[0] for name in names), res.output
+
+
+def test_cli_unknown_param_is_a_usage_error(tmp_path):
+    config = tmp_path / "cfg.yaml"
+    config.write_text(yaml.safe_dump({"experiment": "young", "params": {"nope": 1}}))
+    res = CliRunner().invoke(main, ["run", str(config), "--out", str(tmp_path / "o")])
+    _assert_usage_error(res, "'nope'")
+
+
+def test_cli_negative_seed_is_a_usage_error(tmp_path):
+    res = CliRunner().invoke(main, ["verify-paper", "--fast", "--seed", "-1",
+                                    "--out", str(tmp_path / "o")])
+    _assert_usage_error(res, "--seed", "-1")
+    assert not (tmp_path / "o").exists()

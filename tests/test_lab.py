@@ -4,7 +4,6 @@ import numbers
 import sys
 import threading
 import time
-from fnmatch import fnmatch
 
 import numpy as np
 import pytest
@@ -26,6 +25,7 @@ from orliczlab.lab import (
 )
 from orliczlab.paths import PathGrid, draw_normals, draw_tiles, hitting_index, simulate_batch
 from orliczlab.spaces import DiscreteMeasureSpace, luxemburg_of_norms, modular_of_norms
+from orliczlab.stats import paired_stderr
 
 
 def small(name, replicates=2000, grid_n=128, **params):
@@ -381,28 +381,51 @@ def test_lenglart_orlicz_pair_runs_every_replicate():
     assert row.lhs.n == 40_100
 
 
-# rows whose slack is the paired stderr of lhs - bound * rhs; all others
-# carry the combined stderr of the two sides
-PAIRED_ROWS = [
-    ("isometry", {}, ["isometry-*"]),
-    ("good_lambda", {}, []),
-    ("bdg_scalar", {}, ["bdg-*"]),
-    ("doob_orlicz", {}, ["hypothesis:*", "conclusion:*"]),
-    ("lenglart", {"orlicz_grid_n": 64}, ["tail:scalar:*", "conclusion:scalar:certified",
-                                          "hypothesis:orlicz:*", "conclusion:orlicz:doob",
-                                          "sweep:orlicz:T*"]),
-    ("orlicz_bdg", {}, ["reverse:*:power_2:*", "single-atom-fwd"]),
-]
+# the Monte Carlo experiments, with the sizes their gated rows need
+MONTE_CARLO = [("isometry", {}), ("good_lambda", {}), ("bdg_scalar", {}), ("doob_orlicz", {}),
+               ("lenglart", {"orlicz_grid_n": 64}), ("orlicz_bdg", {})]
 
 
-@pytest.mark.parametrize("name, params, paired", PAIRED_ROWS)
-def test_paired_slack_inventory(name, params, paired):
+@pytest.mark.parametrize("name, params", MONTE_CARLO, ids=[name for name, _ in MONTE_CARLO])
+def test_every_monte_carlo_row_takes_the_paired_slack(monkeypatch, name, params):
+    """A row with a sampled side is a tally row, and its slack is the
+    ``paired_stderr`` of its key at its bound and direction, which is the
+    stderr of lhs - bound * rhs over the key's samples; every other row is
+    exact and has slack 0."""
+    rows, samples = {}, {}  # label -> (tally, key, reverse); (tally, key) -> sides added
+    row, add = lab._Tally.row, lab._Tally.add
+
+    def record_row(self, label, key, bound, grid_n, extras=None, reverse=False):
+        rows[label] = (self, key, reverse)
+        return row(self, label, key, bound, grid_n, extras, reverse)
+
+    def record_add(self, key, lhs, rhs):
+        if np.ndim(lhs) == 1:  # a row group's columns come back as 1-d adds
+            samples.setdefault((self, key), []).append((np.array(lhs, float), np.array(rhs, float)))
+        add(self, key, lhs, rhs)
+
+    monkeypatch.setattr(lab._Tally, "row", record_row)
+    monkeypatch.setattr(lab._Tally, "add", record_add)
     res = small(name, replicates=1024, grid_n=64, **params)
     assert not res.notes.get("audit_failed")  # the gated conclusion rows are present
+    assert rows
     for r in res.reports:
-        assert (r.slack_stderr is not None) == any(fnmatch(r.label, pat) for pat in paired), r.label
-    for pat in paired:
-        assert any(fnmatch(r.label, pat) for r in res.reports), pat
+        if r.label not in rows:
+            assert r.lhs.stderr == r.rhs.stderr == r.slack_stderr == 0.0, r.label
+            continue
+        tally, key, reverse = rows[r.label]
+        lhs, rhs = tally._sides[key]
+        if reverse:
+            lhs, rhs = rhs, lhs
+        assert r.slack_stderr == paired_stderr(lhs, rhs, tally._cross[key], r.bound), r.label
+        left, right = (np.concatenate(side) for side in zip(*samples[tally, key]))
+        if reverse:
+            left, right = right, left
+        diff = left - r.bound * right
+        direct = np.std(diff, ddof=1) / np.sqrt(diff.size)
+        # a constant difference reads a rounding error directly and 0 paired
+        scale = np.hypot(r.lhs.stderr, r.bound * r.rhs.stderr) + np.abs(diff).max() / diff.size
+        assert abs(r.slack_stderr - direct) <= 1e-9 * scale, r.label
 
 
 def test_orlicz_bdg_row_inventory_and_stability():
@@ -457,16 +480,23 @@ def test_orlicz_bdg_case_added_through_the_table_alone(monkeypatch):
         "sweep:sign_of_B1:power_1_5", "stability:sign_of_B1:power_1_5:fine-vs-coarse",
         "stability:sign_of_B1:power_1_5:coarse-vs-fine"]
     assert all(r.passed for r in added)
-    assert all(r.bound == 5.0 and r.slack_stderr is None for r in added[:18])
+    # the table gives the bounds only; the tally pairs every row at them
+    assert all(r.bound == 5.0 and r.slack_stderr > 0.0 for r in added[:18])
 
 
 def test_degenerate_rows_pass_without_division():
-    # rare tail events can leave both sides exactly zero; that is a pass
+    # rare tail events can leave both sides exactly zero; slack 0, so 0 <= 0 passes
     from orliczlab.stats import McEstimate, RatioReport
 
     row = RatioReport("empty", McEstimate.exact(0.0), McEstimate.exact(0.0), 0.5, 64)
-    assert row.degenerate and row.passed
+    assert row.passed and row.slack == 0.0
     assert np.isnan(row.ratio)
+    tally = lab._Tally({})
+    tally.add("tail", np.zeros(50, dtype=bool), np.zeros(50, dtype=bool))
+    for reverse in (False, True):
+        row = tally.row("tail", "tail", 0.5, 64, reverse=reverse)
+        assert row.slack_stderr == 0.0 and row.passed
+        assert np.isnan(row.ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -586,13 +616,13 @@ def test_views_raise_a_draw_error(monkeypatch):
 
 
 def _adds(monkeypatch):
-    """Record every tally add as (key, lhs, rhs, bounds)."""
+    """Record every tally add as (key, lhs, rhs)."""
     adds = []
     add = lab._Tally.add
 
-    def record(self, key, lhs, rhs, *bounds):
-        adds.append((key, np.array(lhs), np.array(rhs), bounds))
-        add(self, key, lhs, rhs, *bounds)
+    def record(self, key, lhs, rhs):
+        adds.append((key, np.array(lhs), np.array(rhs)))
+        add(self, key, lhs, rhs)
 
     monkeypatch.setattr(lab._Tally, "add", record)
     return adds
@@ -618,8 +648,8 @@ def test_tiles_finishing_out_of_order_tally_in_tile_order(monkeypatch, threads):
         if threads > 1 and tile % 2 == 0:
             time.sleep(0.2)
         done.append(tile)
-        yield ("sup", tag), (np.abs(b.paths[:, 0, :]).max(axis=1), b.paths[:, 0, -1] ** 2, 1.0)
-        yield "end", (b.paths[:, 0, -1], np.full(b.replicates, tile), 4.0)
+        yield ("sup", tag), (np.abs(b.paths[:, 0, :]).max(axis=1), b.paths[:, 0, -1] ** 2)
+        yield "end", (b.paths[:, 0, -1], np.full(b.replicates, tile))
 
     runs, adds = {}, _adds(monkeypatch)
     for n in (1, threads):
@@ -639,9 +669,8 @@ def test_tiles_finishing_out_of_order_tally_in_tile_order(monkeypatch, threads):
     assert seq_done == list(range(7)) and sorted(par_done) == seq_done
     assert par_done.index(1) < par_done.index(0)  # a later tile finished first
     assert [key for key, *_ in par] == [key for key, *_ in seq] == [("sup", "n"), "end"] * 3
-    for (key, lhs, rhs, bounds), (_, lhs_s, rhs_s, bounds_s) in zip(par, seq):
+    for (key, lhs, rhs), (_, lhs_s, rhs_s) in zip(par, seq):
         assert np.array_equal(lhs, lhs_s) and np.array_equal(rhs, rhs_s), key
-        assert bounds == bounds_s
     assert list(seq[-1][2]) == [6, 6, 6]  # the last batch is the last tile
 
 
@@ -704,23 +733,23 @@ def test_tally_row_group_adds_each_column_as_a_key():
     edge = rng.standard_normal(37)
     group, columns = lab._Tally({}), lab._Tally({})
     for tally in (group, columns):
-        tally.add("first", edge, edge * edge, 1.0)
-    group.add(("tail", "n"), lhs, rhs, 1.0, 2.5)
+        tally.add("first", edge, edge * edge)
+    group.add(("tail", "n"), lhs, rhs)
     for k in range(5):
         columns.add(("tail", "n", k), np.ascontiguousarray(lhs[:, k]),
-                    np.ascontiguousarray(rhs[:, k]), 1.0, 2.5)
+                    np.ascontiguousarray(rhs[:, k]))
     for tally in (group, columns):
         tally.add("last", edge, edge * edge)
     keys = ["first", *(("tail", "n", k) for k in range(5)), "last"]
     assert list(group.keys()) == list(columns.keys()) == keys
 
-    def moments(tally):  # every accumulator, in insertion order
+    def moments(tally):  # every accumulator and product sum, in insertion order
         state = lambda m: (m.count, m.total, m.total_sq)
         return ([(key, [state(m) for m in acc]) for key, acc in tally._sides.items()],
-                [(key, state(m)) for key, m in tally._diffs.items()])
+                list(tally._cross.items()))
 
     assert moments(group) == moments(columns)
-    assert len(group._diffs) == 1 + 5 * 2
+    assert list(group._cross) == keys
 
 
 # Every Monte Carlo experiment on ragged tiles of 6 rows (12 for the
@@ -740,7 +769,7 @@ TILED = [
 
 
 def _tallied(monkeypatch, name, replicates, grid_n, params):
-    """The experiment's reports, and every tally add as (key, lhs, rhs, bounds)."""
+    """The experiment's reports, and every tally add as (key, lhs, rhs)."""
     with monkeypatch.context() as patch:
         adds = _adds(patch)
         res = small(name, replicates=replicates, grid_n=grid_n, **params)
@@ -760,10 +789,9 @@ def test_tiles_match_whole_batches_bitwise(monkeypatch, name, replicates, grid_n
     finally:
         sys.setswitchinterval(interval)
     assert [key for key, *_ in tiled] == [key for key, *_ in whole]
-    for (key, lhs, rhs, bounds), (_, lhs_w, rhs_w, bounds_w) in zip(tiled, whole):
+    for (key, lhs, rhs), (_, lhs_w, rhs_w) in zip(tiled, whole):
         assert lhs.dtype == lhs_w.dtype and np.array_equal(lhs, lhs_w), key
         assert rhs.dtype == rhs_w.dtype and np.array_equal(rhs, rhs_w), key
-        assert bounds == bounds_w, key
     assert tiled_reports == whole_reports
 
 

@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 from orliczlab import integrate, lab
-from orliczlab.config import DEFAULT_SEED, ExperimentConfig
+from orliczlab.cli import paper_configs
+from orliczlab.config import DEFAULT_SEED
 
 pytestmark = pytest.mark.slow
 
@@ -81,12 +82,8 @@ MUTATIONS = [
 
 
 def _failing_rows():
-    failed = []
-    for name, exp in lab.EXPERIMENTS.items():
-        cfg = ExperimentConfig(experiment=name, seed=DEFAULT_SEED,
-                               replicates=exp.fast_replicates or None, grid_n=exp.grid_n or None)
-        failed += [f"{name}/{r.label}" for r in lab.run_experiment(cfg).reports if not r.passed]
-    return set(failed)
+    return {f"{cfg.experiment}/{r.label}" for cfg in paper_configs(DEFAULT_SEED, fast=True)
+            for r in lab.run_experiment(cfg).reports if not r.passed}
 
 
 @pytest.mark.parametrize("patches, floor", [pytest.param(p, f, id=n) for n, p, f in MUTATIONS])
