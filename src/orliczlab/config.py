@@ -101,7 +101,13 @@ class ExperimentConfig:
 def load_config(path) -> ExperimentConfig:
     """Read a YAML experiment config from ``path``."""
     with open(path, "r", encoding="utf-8") as fh:
-        data = yaml.safe_load(fh)
+        try:
+            data = yaml.safe_load(fh)
+        except yaml.YAMLError as err:
+            mark = getattr(err, "problem_mark", None)
+            where = f" at line {mark.line + 1}" if mark is not None else ""
+            problem = getattr(err, "problem", None) or "not valid YAML"
+            raise ConfigError(f"config file {path}{where}: {problem}") from err
     if data is None:
         raise ConfigError(f"config file {path} is empty")
     return ExperimentConfig.from_mapping(data)

@@ -18,6 +18,9 @@ one adaptive 21-point Gauss-Kronrod rule (QUADPACK's ``qk21``) written in
 numpy: every piece of every interval is evaluated in one array call, a
 piece is accepted once its Kronrod and Gauss sums differ by at most its
 share of ``max(1e-12, 1e-10 * |integral|)``, and the others are halved.
+It takes an optional parameter per interval, so the kappa integral runs
+all its probe points in one call per step.  phi, psi and varphi take
+arrays; a scalar gives a float.
 
 Class flags reported by :func:`classify_gauge` are measured on finite probe
 grids.  They are evidence, not proofs.
@@ -98,7 +101,7 @@ _GK_WG[1:10:2] = _GK_WG[19:10:-2] = [0.06667134430868814, 0.1494513491505806,
 _QUAD_PIECES = 200
 
 
-def _quad(f: Callable, a, b) -> np.ndarray:
+def _quad(f: Callable, a, b, par=None) -> np.ndarray:
     """Integral of a vectorised ``f`` over each interval [a[i], b[i]], a <= b.
 
     Adaptive 21-point Gauss-Kronrod: each round calls ``f`` once on the
@@ -107,17 +110,20 @@ def _quad(f: Callable, a, b) -> np.ndarray:
     ``max(1e-12, 1e-10 * |integral|)``, with the integral estimated from
     all current pieces of its interval; the others are halved.  An interval
     that needs more than ``_QUAD_PIECES`` pieces (a non-integrable or
-    non-finite integrand) raises :class:`BracketError`.
+    non-finite integrand) raises :class:`BracketError`.  With ``par``, one
+    parameter per interval (broadcast against a and b), the call is
+    ``f(x, par)`` with each piece's parameter as a (pieces, 1) column.
     """
-    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-    shape, a, b = a.shape, a.ravel(), b.ravel()
+    args = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (a, b, par) if v is not None))
+    shape = args[0].shape
+    a, b, *par = (v.ravel() for v in args)
     total = np.zeros(a.shape)
     pieces = np.ones(a.shape, dtype=int)
     owner, lo, hi = np.arange(a.size), a, b
     while owner.size:
         half = 0.5 * (hi - lo)
         mid = 0.5 * (lo + hi)
-        fx = f(mid[:, None] + half[:, None] * _GK_X)
+        fx = f(mid[:, None] + half[:, None] * _GK_X, *(p[owner, None] for p in par))
         kron = half * (fx @ _GK_WK)
         diff = np.abs(kron - half * (fx @ _GK_WG))
         estimate = total + np.bincount(owner, kron, minlength=a.size)
@@ -369,19 +375,35 @@ def gauge_from_config(cfg: dict) -> GrowthFunction:
 # scaling transforms
 
 
-def phi_of(gauge: GrowthFunction, s: float, *, use_closed: bool = True) -> float:
-    """sup_t L(s t)/L(t), closed form when available else a refined grid sup.
+def _positive(x, what: str) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    bad = x[x <= 0.0]
+    if bad.size:
+        raise GaugeError(f"{what} > 0, got {float(bad[0])}")
+    return x
 
-    The numeric value is a supremum over a geometric t-grid of 4096 points,
-    doubled until two consecutive refinements agree to 1e-6 relative or the
-    grid reaches 2^20 points; it is a lower bound of the true supremum that
-    dominates every probed ratio.
+
+def _out(x: np.ndarray):
+    """A 0-d result as a float, any other as the array."""
+    return float(x) if x.ndim == 0 else x
+
+
+def phi_of(gauge: GrowthFunction, s, *, use_closed: bool = True):
+    """sup_t L(s t)/L(t) per element of ``s`` (a scalar gives a float).
+
+    The closed form, when the family has one, takes the whole array in one
+    call.  Else each element's value is a supremum over a geometric t-grid
+    of 4096 points, doubled until two consecutive refinements agree to 1e-6
+    relative or the grid reaches 2^20 points; it is a lower bound of the
+    true supremum that dominates every probed ratio.
     """
-    s = float(s)
-    if s <= 0.0:
-        raise GaugeError(f"phi transform needs s > 0, got {s}")
+    s = _positive(s, "phi transform needs s")
     if use_closed and gauge._phi_closed is not None:
-        return float(gauge._phi_closed(s))
+        return _out(np.asarray(gauge._phi_closed(s), dtype=float))
+    return _out(np.array([_phi_grid_sup(gauge, x) for x in s.ravel()]).reshape(s.shape))
+
+
+def _phi_grid_sup(gauge: GrowthFunction, s: float) -> float:
     points = 4096
     prev = None
     while True:
@@ -403,51 +425,56 @@ def phi_of(gauge: GrowthFunction, s: float, *, use_closed: bool = True) -> float
         points *= 2
 
 
-def psi_of(gauge: GrowthFunction, t: float) -> float:
-    """inf {s >= 0 : phi(s) >= t}, by bisection on the monotone transform.
+def psi_of(gauge: GrowthFunction, t):
+    """inf {s >= 0 : phi(s) >= t} per element of ``t`` (a scalar gives a float).
 
-    Bisects to 1e-9 relative and returns the upper end, so
-    phi(psi_of(t)) >= t holds for the returned approximant.  Returns 0.0
-    when phi never drops below t on the probe range (possible only outside
-    the vanishing-scaling class).
+    One masked bisection on the monotone transform: per element the bracket
+    halves down from 1 while phi stays >= t, or doubles up from 1 until it
+    reaches t, then bisects to 1e-9 relative and returns the upper end, so
+    phi(psi_of(t)) >= t holds for the returned approximant.  An element
+    whose phi never drops below t by s = 1e-30 (possible only outside the
+    vanishing-scaling class) reads 0.0; one whose phi stays below t past
+    s = 1e30 raises :class:`BracketError`.
     """
-    t = float(t)
-    if t <= 0.0:
-        raise GaugeError(f"psi transform needs t > 0, got {t}")
-    phi = lambda s: phi_of(gauge, s)
-    lo = hi = 1.0
-    if phi(1.0) >= t:
-        for _ in range(200):
-            lo *= 0.5
-            if phi(lo) < t:
-                break
-            hi = lo
-            if lo < 1e-30:
-                return 0.0
-    else:
-        for _ in range(200):
-            hi *= 2.0
-            if phi(hi) >= t:
-                break
-            lo = hi
-            if hi > 1e30:
-                raise BracketError("psi transform: no upper bracket")
-    while hi - lo > 1e-9 * hi:
-        mid = 0.5 * (lo + hi)
-        if phi(mid) >= t:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    t = _positive(t, "psi transform needs t")
+    flat = t.ravel()
+    lo, hi = np.ones(flat.shape), np.ones(flat.shape)
+    down = phi_of(gauge, 1.0) >= flat
+    zero = np.zeros(flat.shape, dtype=bool)
+    live = np.flatnonzero(down)
+    while live.size:  # halving: stop at the first s with phi(s) < t
+        lo[live] *= 0.5
+        live = live[~(phi_of(gauge, lo[live]) < flat[live])]
+        hi[live] = lo[live]
+        zero[live[lo[live] < 1e-30]] = True
+        live = live[~zero[live]]
+    live = np.flatnonzero(~down)
+    while live.size:  # doubling: stop at the first s with phi(s) >= t
+        hi[live] *= 2.0
+        live = live[~(phi_of(gauge, hi[live]) >= flat[live])]
+        lo[live] = hi[live]
+        if np.any(hi[live] > 1e30):
+            raise BracketError("psi transform: no upper bracket")
+    live = np.flatnonzero(~zero)
+    while True:
+        live = live[hi[live] - lo[live] > 1e-9 * hi[live]]
+        if not live.size:
+            break
+        mid = 0.5 * (lo[live] + hi[live])
+        above = phi_of(gauge, mid) >= flat[live]
+        hi[live[above]] = mid[above]
+        lo[live[~above]] = mid[~above]
+    hi[zero] = 0.0
+    return _out(hi.reshape(t.shape))
 
 
-def varphi_of(gauge: GrowthFunction, t: float) -> float:
-    """1 / psi(1 / t); +inf when psi(1/t) = 0."""
-    t = float(t)
-    if t <= 0.0:
-        raise GaugeError(f"varphi transform needs t > 0, got {t}")
-    denom = psi_of(gauge, 1.0 / t)
-    return math.inf if denom == 0.0 else 1.0 / denom
+def varphi_of(gauge: GrowthFunction, t):
+    """1 / psi(1 / t) per element of ``t`` (a scalar gives a float); +inf where psi(1/t) = 0."""
+    t = _positive(t, "varphi transform needs t")
+    denom = np.asarray(psi_of(gauge, 1.0 / t))
+    out = np.full(denom.shape, math.inf)
+    np.divide(1.0, denom, out=out, where=denom != 0.0)
+    return _out(out)
 
 
 # ---------------------------------------------------------------------------
@@ -475,16 +502,14 @@ def _right_inverse_of_derivative(gauge: GrowthFunction) -> Callable:
             live = live[~(a(hi[live]) > flat[live])]
             if live.size and hi[live[0]] > 1e30:
                 raise BracketError("right inverse: derivative never exceeds level")
-        live = np.flatnonzero(keep)
-        while True:
-            live = live[hi[live] - lo[live] > 1e-13 * np.maximum(hi[live], 1.0)]
-            if not live.size:
-                hi[~keep] = np.nan
-                return hi.reshape(u.shape)
-            mid = 0.5 * (lo[live] + hi[live])
-            above = a(mid) > flat[live]
-            hi[live[above]] = mid[above]
-            lo[live[~above]] = mid[~above]
+        # dense rounds: every element steps, the finished ones are frozen
+        while (live := keep & (hi - lo > 1e-13 * np.maximum(hi, 1.0))).any():
+            mid = 0.5 * (lo + hi)
+            above = a(mid) > flat
+            np.copyto(hi, mid, where=live & above)
+            np.copyto(lo, mid, where=live & ~above)
+        hi[~keep] = np.nan
+        return hi.reshape(u.shape)
 
     return atilde
 
@@ -555,24 +580,23 @@ def kappa_probe(gauge: GrowthFunction) -> float | None:
     Returns None when the integral fails to converge by u = 512, or when
     the gauge vanishes at a probe t.
     """
-    worst = 0.0
-    for t in np.geomspace(1e-3, 1e3, 13):
-        integrand = lambda u, t=t: gauge(t * np.exp(-u)) * np.exp(u)
-        total = 0.0
-        lo, hi = 0.0, 4.0
-        while hi <= 512.0:
-            chunk = float(_quad(integrand, lo, hi))
-            total += chunk
-            if chunk <= 1e-8 * total and lo > 0.0:
-                break
-            lo, hi = hi, hi * 2.0
-        else:
+    t = np.geomspace(1e-3, 1e3, 13)
+    integrand = lambda u, t: gauge(t * np.exp(-u)) * np.exp(u)
+    total = np.zeros(t.shape)
+    live = np.arange(t.size)
+    lo, hi = 0.0, 4.0
+    while live.size:  # every probe t still live integrates this chunk in one call
+        if hi > 512.0:
             return None
-        denom = float(gauge(np.float64(t)))
-        if denom <= 0.0:
-            return None
-        worst = max(worst, total / denom)
-    return worst
+        chunk = _quad(integrand, lo, hi, par=t[live])
+        total[live] += chunk
+        if lo > 0.0:
+            live = live[~(chunk <= 1e-8 * total[live])]
+        lo, hi = hi, hi * 2.0
+    denom = gauge(t)
+    if np.any(denom <= 0.0):
+        return None
+    return float(np.max(total / denom))
 
 
 # ---------------------------------------------------------------------------
@@ -638,7 +662,7 @@ def _is_a0(gauge: GrowthFunction):
 def _phi_decay(gauge: GrowthFunction) -> bool:
     """phi decreasing over s = 2^-1 .. 2^-14 and at most 0.05 at the end."""
     scales = 0.5 ** np.arange(1, 15)
-    vals = np.array([phi_of(gauge, s) for s in scales])
+    vals = phi_of(gauge, scales)
     decreasing = np.all(np.diff(vals) <= 1e-9 * np.maximum(vals[:-1], 1e-300))
     return bool(decreasing and vals[-1] <= 0.05)
 

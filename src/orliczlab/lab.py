@@ -979,9 +979,11 @@ def run_experiment(cfg) -> ExperimentResult:
         default = known[key]
         if _is_real(default) and not _is_real(value):
             raise LabError(f"{cfg.experiment}: params.{key} must be a number, got {value!r}")
-        if _is_reals(default) and len(default) and not _is_reals(value):
+        # an empty list would leave an audit with nothing to check: all([]) passes
+        if _is_reals(default) and len(default) and not (_is_reals(value) and len(value)):
             raise LabError(
-                f"{cfg.experiment}: params.{key} must be a list of numbers, got {value!r}"
+                f"{cfg.experiment}: params.{key} must be a list of numbers (non-empty),"
+                f" got {value!r}"
             )
     return exp.run(cfg, cfg.replicates or exp.replicates, cfg.grid_n or exp.grid_n,
                    {**known, **cfg.params})

@@ -189,8 +189,8 @@ def verify_norm_relations(
     mods = modulars(values)
 
     unit_ball = float(modulars((1.0 / norms)[:, None, None] * values).max(initial=0.0))
-    phis = np.array([phi_of(gauge, lam) for lam in norms])
-    varphis = np.array([varphi_of(gauge, m) for m in mods])
+    phis = phi_of(gauge, norms)
+    varphis = varphi_of(gauge, mods)
     mod_margin = float((phis - mods).min())
     norm_margin = float((varphis - norms).min())
     gamma_hat = float((sum_norms / (norms[:-1] + norms[1:])).max(initial=0.0))

@@ -311,6 +311,29 @@ def test_cli_unknown_param_is_a_usage_error(tmp_path):
     _assert_usage_error(res, "'nope'")
 
 
+@pytest.mark.parametrize("experiment", ["doob_orlicz", "lenglart", "good_lambda"])
+def test_cli_empty_lambda_list_is_a_usage_error(tmp_path, experiment):
+    # an empty list would leave its audit vacuous: all([]) passes
+    config = tmp_path / "cfg.yaml"
+    config.write_text(yaml.safe_dump({"experiment": experiment, "params": {"lambdas": []}}))
+    res = CliRunner().invoke(main, ["run", str(config), "--out", str(tmp_path / "o")])
+    _assert_usage_error(res, "params.lambdas", "non-empty")
+    assert not (tmp_path / "o").exists()
+
+
+def test_empty_list_stays_valid_where_the_default_is_empty():
+    cfg = ExperimentConfig(experiment="young", params={"extra_gauges": []})
+    assert run_experiment(cfg).passed
+
+
+def test_cli_invalid_yaml_is_a_usage_error(tmp_path):
+    config = tmp_path / "cfg.yaml"
+    config.write_text("experiment: young\nparams: {nope: 1\n")
+    res = CliRunner().invoke(main, ["run", str(config), "--out", str(tmp_path / "o")])
+    _assert_usage_error(res, str(config), "line 3")
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_negative_seed_is_a_usage_error(tmp_path):
     res = CliRunner().invoke(main, ["verify-paper", "--fast", "--seed", "-1",
                                     "--out", str(tmp_path / "o")])

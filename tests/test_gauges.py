@@ -215,6 +215,81 @@ def test_psi_degenerate_for_saturating_transform():
     assert G.varphi_of(g, 2.0) == math.inf
 
 
+def _scalar_psi(gauge, t):
+    # the per-sample bisection the masked array psi replaced
+    phi = lambda s: G.phi_of(gauge, s)
+    lo = hi = 1.0
+    if phi(1.0) >= t:
+        while True:
+            lo *= 0.5
+            if phi(lo) < t:
+                break
+            hi = lo
+            if lo < 1e-30:
+                return 0.0
+    else:
+        while True:
+            hi *= 2.0
+            if phi(hi) >= t:
+                break
+            lo = hi
+    while hi - lo > 1e-9 * hi:
+        mid = 0.5 * (lo + hi)
+        if phi(mid) >= t:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _scalar_varphi(gauge, t):
+    denom = _scalar_psi(gauge, 1.0 / t)
+    return math.inf if denom == 0.0 else 1.0 / denom
+
+
+# every registry gauge with a closed phi, and a square that takes the grid sup
+_TRANSFORM_GAUGES = {
+    **{name: g for name, g in G.registry_gauges().items() if g._phi_closed is not None},
+    "power_2_numeric": dataclasses.replace(G.get_gauge("power_2"), _phi_closed=None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TRANSFORM_GAUGES))
+def test_array_transforms_equal_the_scalar_loop_bitwise(name):
+    g = _TRANSFORM_GAUGES[name]
+    # t < 1 and t > 1 both, so lambda_0's psi reads 0 and its varphi inf
+    x = np.array([0.03, 0.25, 0.5, 0.9, 1.0, 1.7, 2.0, 4.0, 11.0])
+    if name.endswith("numeric"):
+        x = x[[1, 5, 7]]  # each numeric phi is a grid sup: keep the bisections few
+    grid = x.reshape(3, -1)
+    for transform, ref in ((G.phi_of, G.phi_of), (G.psi_of, _scalar_psi),
+                           (G.varphi_of, _scalar_varphi)):
+        want = np.array([ref(g, float(v)) for v in grid.ravel()]).reshape(grid.shape)
+        got = transform(g, grid)
+        assert got.shape == grid.shape
+        np.testing.assert_array_equal(got, want)
+        for v in (float(grid.flat[0]), np.float64(grid.flat[0])):
+            out = transform(g, v)
+            assert type(out) is float and out == want.flat[0]
+    if name == "lambda_0":
+        assert (G.psi_of(g, x[x < 1.0]) == 0.0).all()
+        assert np.isposinf(G.varphi_of(g, x[x > 1.0])).all()
+
+
+def test_array_transforms_refuse_a_nonpositive_element():
+    g = G.get_gauge("power_2")
+    for transform, name in ((G.phi_of, "phi"), (G.psi_of, "psi"), (G.varphi_of, "varphi")):
+        with pytest.raises(G.GaugeError, match=rf"{name} transform needs .* > 0, got -1\.0"):
+            transform(g, np.array([2.0, -1.0, 0.0]))
+
+
+def test_array_psi_raises_when_any_element_has_no_upper_bracket():
+    # lambda_0's phi grows as 1 + log s: t = 100 needs s = e^99 > 1e30
+    g = G.get_gauge("lambda_0")
+    with pytest.raises(G.BracketError, match="no upper bracket"):
+        G.psi_of(g, np.array([0.5, 2.0, 100.0]))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     s=st.floats(min_value=1e-3, max_value=1e3),
@@ -384,6 +459,37 @@ def test_quad_refuses_a_non_integrable_integrand():
     assert max(rows) <= G._QUAD_PIECES
 
 
+def test_quad_with_per_interval_parameters_matches_one_call_each():
+    a = np.array([0.0, 4.0, 8.0, 0.5, 2.0])
+    b = np.array([4.0, 8.0, 16.0, 0.5, 30.0])
+    c = np.array([1e-3, 0.1, 1.0, 5.0, 40.0])
+    f = lambda x, c: np.exp(-c * x) * np.cos(x) + c
+    got = G._quad(f, a, b, par=c)
+    want = np.array([float(G._quad(lambda x, ci=ci: f(x, ci), ai, bi))
+                     for ai, bi, ci in zip(a, b, c)])
+    assert_allclose(got, want, rtol=1e-15, atol=0.0)
+    # the parameter broadcasts against the limits, and a column reaches f per piece
+    seen = []
+    G._quad(lambda x, c: seen.append(c.shape) or x * c, 0.0, 1.0, par=c)
+    assert {shape[1] for shape in seen} == {1}
+    assert_allclose(G._quad(lambda x, c: x * c, 0.0, 1.0, par=c), 0.5 * c, rtol=1e-15)
+
+
+def test_right_inverse_dense_rounds_equal_per_element_bisection_bitwise():
+    g = G.get_gauge("power_log_2")
+    atilde = G._right_inverse_of_derivative(g)
+    rng = np.random.default_rng(3)
+    u = np.concatenate([[0.0, np.nan, 1e-9, 0.5, np.nan, 3.0, 1e4, 1e12],
+                        np.exp(rng.uniform(-20.0, 20.0, 200))])
+    want = np.array([np.nan if np.isnan(x) else _scalar_right_inverse(g.derivative, x)
+                     for x in u])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the frozen elements feed no value that warns
+        got = atilde(u.reshape(8, -1))
+    assert got.shape == (8, 26)
+    assert got.ravel().tobytes() == want.tobytes()
+
+
 def test_complementary_rejects_non_n_functions():
     for name in ("lambda_0", "lambda_1", "lambda_2", "exp_minus_one"):
         with pytest.raises(G.NotNFunctionError):
@@ -464,6 +570,37 @@ def test_classification_matrix():
     assert reports["lambda_2"].kappa_value == pytest.approx(1.0, abs=0.05)
     assert not reports["exp_minus_one"].is_A0
     assert reports["exp_minus_one"].c_lambda_worst == math.inf
+
+
+# classify_gauge per registry gauge: the flags and c_lambda_worst, then
+# kappa_value, pinned to 1e-14 relative: how many rows the Kronrod product
+# holds per call can move its last bits
+_CLASS_PINS = {
+    "power_1_5": (True, 8.0, True, True, True, True, 2.0000000000000004),
+    "power_2": (True, 16.0, True, True, True, True, 1.0000000000000002),
+    "power_3": (True, 64.0, True, True, True, True, 0.5000000000000001),
+    "half_square": (True, 16.0, True, True, True, True, 1.0000000000000002),
+    "cube_over_3": (True, 64.0, True, True, True, True, 0.5000000000000002),
+    "power_log_2": (True, 63.99999904000002, True, True, True, True, 0.8562561160523465),
+    "lambda_0": (True, 2.3745408771501095, False, False, False, False, None),
+    "lambda_1": (True, 9.498163508600438, True, False, False, False, None),
+    "lambda_2": (True, 37.99265403440175, True, False, False, True, 0.999851504493224),
+    "exp_minus_one": (False, math.inf, False, False, False, False, None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(G.REGISTRY))
+def test_classify_gauge_pins_every_registry_report(name):
+    is_a0, c_worst, is_a1, is_n, has_a2, a2_op, kappa = _CLASS_PINS[name]
+    r = G.classify_gauge(G.get_gauge(name))
+    assert (r.is_A0, r.is_A1, r.is_N_function, r.a2_operational) == (is_a0, is_a1, is_n, a2_op)
+    assert r.c_lambda_worst == pytest.approx(c_worst, rel=1e-14)
+    assert (r.kappa_A2 is not None) == has_a2
+    if kappa is None:
+        assert r.kappa_value is None
+    else:
+        assert r.kappa_value == pytest.approx(kappa, rel=1e-14, abs=0.0)
+        assert r.kappa_A2 in (None, r.kappa_value)
 
 
 def test_classification_invariants():
