@@ -19,8 +19,15 @@ numpy: every piece of every interval is evaluated in one array call, a
 piece is accepted once its Kronrod and Gauss sums differ by at most its
 share of ``max(1e-12, 1e-10 * |integral|)``, and the others are halved.
 It takes an optional parameter per interval, so the kappa integral runs
-all its probe points in one call per step.  phi, psi and varphi take
-arrays; a scalar gives a float.
+all its probe points in one call per step.  The numeric complement
+integrates in v = sqrt(u), where its square-root-like integrand is smooth.
+
+Every inverse of the gauge layer (psi, the right inverse of the derivative,
+:meth:`GrowthFunction.inverse` and the Luxemburg norm in ``spaces``)
+brackets its root by doubling or halving, then narrows all brackets at once
+with one masked false-position routine, :func:`_false_position` (the
+Illinois variant).  phi, psi, varphi and the gauge inverse take arrays; a
+scalar gives a float.
 
 Class flags reported by :func:`classify_gauge` are measured on finite probe
 grids.  They are evidence, not proofs.
@@ -57,7 +64,7 @@ __all__ = [
 
 # Interior kink of the lambda_alpha family: the log factor saturates here.
 _KINK = math.exp(-1.0)
-# Relative bracket width at which GrowthFunction.inverse stops bisecting.
+# Relative bracket width at which GrowthFunction.inverse stops narrowing.
 _INVERSE_REL_TOL = 1e-12
 # Probe range [_FLOOR, _CEIL] of the numeric transforms and the classifier:
 # _DECADES decades, _PER_DECADE geometric points each.
@@ -74,7 +81,7 @@ class NotNFunctionError(GaugeError):
 
 
 class BracketError(RuntimeError):
-    """A bisection bracket could not be established within iteration caps."""
+    """A root bracket could not be established within iteration caps."""
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +146,63 @@ def _quad(f: Callable, a, b, par=None) -> np.ndarray:
         owner = np.repeat(owner, 2)
         lo, hi = np.stack([lo, mid], axis=1).ravel(), np.stack([mid, hi], axis=1).ravel()
     return total.reshape(shape)
+
+
+# ---------------------------------------------------------------------------
+# root refinement
+
+
+def _false_position(f: Callable, level, lo, hi, f_lo, f_hi, live, rtol: float,
+                    floor: float = 0.0, strict: bool = False, done: Callable | None = None):
+    """Narrow the brackets [lo[i], hi[i]] of the elements ``live``, in place.
+
+    ``f(x, idx)`` is a nondecreasing function at points x of the elements
+    idx, and each element's root is the least x with f(x) >= level[i]
+    (> level[i] if ``strict``); ``level`` is an array like ``lo``, or one
+    number for all.  On entry f_lo and f_hi hold f at the bracket ends, lo
+    below the root and hi at or above it; ``hi`` is the end the caller
+    keeps.  Each round steps every element whose bracket is wider than
+    ``rtol * max(hi, floor)`` once, to the secant root of its end residuals
+    f - level, an end kept twice running having its residual halved (the
+    Illinois false position of Dowell & Jarratt, BIT 11, 1971).  A secant
+    root not strictly inside its bracket (an end residual of exactly 0, an
+    infinite or NaN one) falls back to the midpoint, and every second such
+    fallback to half the tolerance inside the end it fell on, so an exact
+    hit ends one step later while a flat stretch still halves.  ``done(r)``,
+    if given, ends an element after a step by the residual at its hi end.
+    """
+    level = np.broadcast_to(level, lo.shape)
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf is a NaN residual
+        w_lo, w_hi = f_lo - level, f_hi - level  # the residuals the secant uses
+    r_hi = w_hi.copy()  # and the true one at hi, for done
+    last_up = np.zeros(lo.shape, dtype=np.int8)  # 1: the last step moved hi, -1: lo
+    inward = np.zeros(lo.shape, dtype=bool)  # the next fallback steps in from its end
+    while True:
+        live = live[hi[live] - lo[live] > rtol * np.maximum(hi[live], floor)]
+        if not live.size:
+            return
+        a, b = lo[live], hi[live]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            q = w_lo[live] / (w_lo[live] - w_hi[live])
+            x = a + (b - a) * q
+        at_lo, at_hi = (q <= 0.0) | (x <= a), (q >= 1.0) | (x >= b)
+        fell = ~((q > 0.0) & (q < 1.0) & (x > a) & (x < b))
+        inset = 0.5 * rtol * np.maximum(b, floor)
+        x = np.where(fell, 0.5 * (a + b), x)
+        x = np.where(fell & inward[live] & at_lo, a + inset, x)
+        x = np.where(fell & inward[live] & at_hi, b - inset, x)
+        inward[live] ^= fell
+        v = f(x, live)
+        up = v > level[live] if strict else v >= level[live]
+        with np.errstate(invalid="ignore", over="ignore"):
+            r = v - level[live]
+        w_lo[live[up & (last_up[live] == 1)]] *= 0.5
+        w_hi[live[~up & (last_up[live] == -1)]] *= 0.5
+        last_up[live] = np.where(up, 1, -1)
+        hi[live[up]], r_hi[live[up]], w_hi[live[up]] = x[up], r[up], r[up]
+        lo[live[~up]], w_lo[live[~up]] = x[~up], r[~up]
+        if done is not None:
+            live = live[~done(r_hi[live])]
 
 
 # ---------------------------------------------------------------------------
@@ -224,24 +288,34 @@ class GrowthFunction:
         complement the right inverse of the source gauge's derivative."""
         return self._deriv(np.asarray(t, dtype=float))
 
-    def inverse(self, y: float) -> float:
-        """Smallest t with L(t) >= y, by bisection on the monotone gauge."""
-        if y <= 0.0:
-            return 0.0
-        lo, hi = 0.0, 1.0
+    def inverse(self, y):
+        """Smallest t with L(t) >= y per element of ``y`` (a scalar gives a float).
+
+        The bracket doubles up from [0, 1] until L reaches y, then
+        :func:`_false_position` narrows it to ``_INVERSE_REL_TOL`` relative
+        and the upper end is returned, so L(inverse(y)) >= y.  An element
+        y <= 0 reads 0.0; one with no upper bracket in 200 doublings raises
+        :class:`BracketError`.
+        """
+        y = np.asarray(y, dtype=float)
+        flat = y.ravel()
+        lo, hi = np.zeros(flat.shape), np.ones(flat.shape)
+        l_lo, l_hi = np.full(flat.shape, float(self._eval(np.float64(0.0)))), np.empty(flat.shape)
+        positive = np.flatnonzero(~(flat <= 0.0))
+        live = positive
         for _ in range(200):
-            if float(self._eval(np.float64(hi))) >= y:
+            if not live.size:
                 break
-            lo, hi = hi, hi * 2.0
-        else:
+            l_hi[live] = self._eval(hi[live])
+            live = live[~(l_hi[live] >= flat[live])]
+            lo[live], l_lo[live] = hi[live], l_hi[live]
+            hi[live] *= 2.0
+        if live.size:
             raise BracketError("gauge inverse: no upper bracket")
-        while hi - lo > _INVERSE_REL_TOL * hi:
-            mid = 0.5 * (lo + hi)
-            if float(self._eval(np.float64(mid))) >= y:
-                hi = mid
-            else:
-                lo = mid
-        return hi
+        _false_position(lambda t, _: self._eval(t), flat, lo, hi, l_lo, l_hi, positive,
+                        _INVERSE_REL_TOL)
+        hi[flat <= 0.0] = 0.0
+        return _out(hi.reshape(y.shape))
 
 
 def _power_phi(p: float) -> Callable:
@@ -428,10 +502,10 @@ def _phi_grid_sup(gauge: GrowthFunction, s: float) -> float:
 def psi_of(gauge: GrowthFunction, t):
     """inf {s >= 0 : phi(s) >= t} per element of ``t`` (a scalar gives a float).
 
-    One masked bisection on the monotone transform: per element the bracket
-    halves down from 1 while phi stays >= t, or doubles up from 1 until it
-    reaches t, then bisects to 1e-9 relative and returns the upper end, so
-    phi(psi_of(t)) >= t holds for the returned approximant.  An element
+    Per element the bracket halves down from 1 while phi stays >= t, or
+    doubles up from 1 until it reaches t; :func:`_false_position` then
+    narrows all brackets to 1e-9 relative and the upper end is returned,
+    so phi(psi_of(t)) >= t holds for the returned approximant.  An element
     whose phi never drops below t by s = 1e-30 (possible only outside the
     vanishing-scaling class) reads 0.0; one whose phi stays below t past
     s = 1e30 raises :class:`BracketError`.
@@ -439,31 +513,27 @@ def psi_of(gauge: GrowthFunction, t):
     t = _positive(t, "psi transform needs t")
     flat = t.ravel()
     lo, hi = np.ones(flat.shape), np.ones(flat.shape)
-    down = phi_of(gauge, 1.0) >= flat
+    phi_lo, phi_hi = np.full((2, flat.size), phi_of(gauge, 1.0))
+    down = phi_hi >= flat
     zero = np.zeros(flat.shape, dtype=bool)
     live = np.flatnonzero(down)
     while live.size:  # halving: stop at the first s with phi(s) < t
         lo[live] *= 0.5
-        live = live[~(phi_of(gauge, lo[live]) < flat[live])]
-        hi[live] = lo[live]
+        phi_lo[live] = phi_of(gauge, lo[live])
+        live = live[~(phi_lo[live] < flat[live])]
+        hi[live], phi_hi[live] = lo[live], phi_lo[live]
         zero[live[lo[live] < 1e-30]] = True
         live = live[~zero[live]]
     live = np.flatnonzero(~down)
     while live.size:  # doubling: stop at the first s with phi(s) >= t
         hi[live] *= 2.0
-        live = live[~(phi_of(gauge, hi[live]) >= flat[live])]
-        lo[live] = hi[live]
+        phi_hi[live] = phi_of(gauge, hi[live])
+        live = live[~(phi_hi[live] >= flat[live])]
+        lo[live], phi_lo[live] = hi[live], phi_hi[live]
         if np.any(hi[live] > 1e30):
             raise BracketError("psi transform: no upper bracket")
-    live = np.flatnonzero(~zero)
-    while True:
-        live = live[hi[live] - lo[live] > 1e-9 * hi[live]]
-        if not live.size:
-            break
-        mid = 0.5 * (lo[live] + hi[live])
-        above = phi_of(gauge, mid) >= flat[live]
-        hi[live[above]] = mid[above]
-        lo[live[~above]] = mid[~above]
+    _false_position(lambda s, _: phi_of(gauge, s), flat, lo, hi, phi_lo, phi_hi,
+                    np.flatnonzero(~zero), 1e-9)
     hi[zero] = 0.0
     return _out(hi.reshape(t.shape))
 
@@ -485,29 +555,27 @@ def _right_inverse_of_derivative(gauge: GrowthFunction) -> Callable:
     a = gauge.derivative
 
     def atilde(u):
-        # inf {s >= 0 : a(s) > u} per element, by one masked bisection; it
+        # inf {s >= 0 : a(s) > u} per element, narrowed by false position; it
         # keeps the upper end so the integrated complementary is biased
         # upward, never below the truth.
         u = np.asarray(u, dtype=float)
         if np.any(u < 0.0):
             raise GaugeError("right inverse needs u >= 0")
         flat = u.ravel()
-        keep = ~np.isnan(flat)  # a NaN level reads NaN, without bisecting
+        keep = ~np.isnan(flat)  # a NaN level reads NaN, without a root search
         lo, hi = np.zeros(flat.shape), np.ones(flat.shape)
+        a_lo, a_hi = np.full(flat.shape, float(a(0.0))), a(hi)
         # doubling from 1 while a(hi) <= u; every moving element has one hi
-        live = np.flatnonzero(keep & ~(a(hi) > flat))
+        live = np.flatnonzero(keep & ~(a_hi > flat))
         while live.size:
-            lo[live] = hi[live]
+            lo[live], a_lo[live] = hi[live], a_hi[live]
             hi[live] *= 2.0
-            live = live[~(a(hi[live]) > flat[live])]
+            a_hi[live] = a(hi[live])
+            live = live[~(a_hi[live] > flat[live])]
             if live.size and hi[live[0]] > 1e30:
                 raise BracketError("right inverse: derivative never exceeds level")
-        # dense rounds: every element steps, the finished ones are frozen
-        while (live := keep & (hi - lo > 1e-13 * np.maximum(hi, 1.0))).any():
-            mid = 0.5 * (lo + hi)
-            above = a(mid) > flat
-            np.copyto(hi, mid, where=live & above)
-            np.copyto(lo, mid, where=live & ~above)
+        _false_position(lambda s, _: a(s), flat, lo, hi, a_lo, a_hi, np.flatnonzero(keep), 1e-13,
+                        floor=1.0, strict=True)
         hi[~keep] = np.nan
         return hi.reshape(u.shape)
 
@@ -519,9 +587,9 @@ def complementary_gauge(gauge: GrowthFunction) -> GrowthFunction:
 
     Uses the closed form when the family has one, else integrates the right
     inverse of the right derivative over the gaps between the sorted
-    arguments in one :func:`_quad` call.  On every route a negative or NaN
-    argument reads NaN, in the value and the derivative alike: a gauge is
-    stated for t >= 0.  Raises
+    arguments in one :func:`_quad` call, in the variable v = sqrt(u).  On
+    every route a negative or NaN argument reads NaN, in the value and the
+    derivative alike: a gauge is stated for t >= 0.  Raises
     :class:`NotNFunctionError` when the strict N-function probe rejects the
     gauge.
     """
@@ -546,8 +614,12 @@ def _numeric_complement(gauge: GrowthFunction) -> GrowthFunction:
         # running max of the sorted t (NaN last, read as 0), so a t at or
         # below the previous one adds an empty gap; a NaN then reads NaN
         edges = np.maximum.accumulate(np.fmax(flat[order], 0.0))
+        # each gap integrates in v = sqrt(u), int atilde(u) du = int 2 v atilde(v^2) dv,
+        # which is smooth where atilde grows like sqrt(u) from 0
+        roots = np.sqrt(edges)
         try:
-            gaps = _quad(atilde, np.concatenate([[0.0], edges])[:-1], edges)
+            gaps = _quad(lambda v: 2.0 * v * atilde(v * v),
+                         np.concatenate([[0.0], roots])[:-1], roots)
         except BracketError as err:  # a t past the right inverse's bracket, say
             msg = f"{label}: no quadrature up to t = {float(edges[-1])!r}: {err}"
             raise BracketError(msg) from None

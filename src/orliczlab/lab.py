@@ -814,9 +814,10 @@ def run_orlicz_bdg(cfg, replicates, n, params) -> ExperimentResult:
     sweep_times = (0.5, 1.0, 2.0)
     scales = (0.5, 1.0, 2.0)
 
-    if not classify_gauge(get_gauge("lambda_2")).a2_operational:
-        raise LabError("lambda_2 fails the operational A2 probe")
     gauges = {case.gauge: get_gauge(case.gauge) for case in _BDG_CASES}
+    for name, gauge in gauges.items():  # each case's hypothesis, gauge by gauge
+        if not classify_gauge(gauge).a2_operational:
+            raise LabError(f"{name} fails the operational A2 probe")
     single_spec = ProcessSpec("constant_e1")
 
     def kernel(tag, b):

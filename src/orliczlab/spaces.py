@@ -7,7 +7,8 @@ norm array.  The modular of f under a gauge L is
     [f]_L = sum_i  mu_i * L(|f(x_i)|)
 
 and the Luxemburg norm is the smallest lambda with [f / lambda]_L <= 1,
-found by bisection.  ``verify_norm_relations`` samples random vectors and
+bracketed by doubling or halving and narrowed by the gauge layer's false
+position.  ``verify_norm_relations`` samples random vectors and
 measures the sandwich between modular and norm through the scaling
 transforms, the unit-ball law, the quasi-triangle constant and norm
 faithfulness.
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import substream
-from .gauges import BracketError, GrowthFunction, phi_of, varphi_of
+from .gauges import BracketError, GrowthFunction, _false_position, phi_of, varphi_of
 
 __all__ = [
     "DiscreteMeasureSpace",
@@ -56,23 +57,24 @@ def modular_of_norms(norms: np.ndarray, weights: np.ndarray, gauge: GrowthFuncti
     return gauge(norms) @ np.asarray(weights, dtype=float)
 
 
-# Bisection stops once the modular at the feasible end is within this of 1.
+# The refinement stops once the modular at the feasible end is within this of 1.
 _LUXEMBURG_TOL = 1e-9
 
 
 def luxemburg_of_norms(norms: np.ndarray, weights: np.ndarray, gauge: GrowthFunction) -> np.ndarray:
     """Luxemburg norm over a batch: ``norms`` has shape (..., n_atoms).
 
-    One masked bisection over all rows; each round evaluates the gauge once,
-    on the rows still moving.  Per row, the bracket doubles up from the
-    row's largest value, or halves down from it when that is already
-    feasible, then bisects and keeps the feasible upper end, until the
-    bracket is within 1e-13 relative or, checked after each step, the
-    modular there is within ``_LUXEMBURG_TOL`` of 1.  The unit-ball law
-    [f/norm]_L <= 1 thus holds exactly for the returned approximant.  No
-    row evaluates a scale twice.  A zero row, and a row feasible at every
-    probed scale, get 0.0.  A row holding NaN or +-inf, and a row with no
-    feasible scale in 200 doublings, raise ``BracketError``.
+    One masked root search over all rows; each round evaluates the gauge
+    once, on the rows still moving.  Per row, the bracket doubles up from
+    the row's largest value, or halves down from it when that is already
+    feasible; then ``gauges._false_position`` narrows it, keeping the
+    feasible upper end, until the bracket is within 1e-13 relative or,
+    checked after each step, the modular there is within
+    ``_LUXEMBURG_TOL`` of 1.  The unit-ball law [f/norm]_L <= 1 thus
+    holds exactly for the returned approximant.  No row evaluates a scale
+    twice.  A zero row, and a row feasible at every probed scale, get 0.0.
+    A row holding NaN or +-inf, and a row with no feasible scale in 200
+    doublings, raise ``BracketError``.
     """
     norms = np.asarray(norms, dtype=float)
     weights = np.asarray(weights, dtype=float)
@@ -87,7 +89,7 @@ def luxemburg_of_norms(norms: np.ndarray, weights: np.ndarray, gauge: GrowthFunc
 
     hi = flat.max(axis=1, initial=0.0)
     lo = np.zeros_like(hi)
-    mod_hi = np.zeros_like(hi)
+    mod_lo, mod_hi = np.zeros_like(hi), np.zeros_like(hi)
     # doubling: a row moves on unless mod <= 1, so a NaN modular keeps doubling
     doubled = np.zeros(hi.shape, dtype=bool)
     live = np.flatnonzero(hi != 0.0)
@@ -97,7 +99,7 @@ def luxemburg_of_norms(norms: np.ndarray, weights: np.ndarray, gauge: GrowthFunc
         m = mod(live, hi[live])
         mod_hi[live] = m
         live = live[~(m <= 1.0)]
-        lo[live] = hi[live]
+        lo[live], mod_lo[live] = hi[live], mod_hi[live]
         hi[live] *= 2.0
         doubled[live] = True
     if live.size:
@@ -111,26 +113,17 @@ def luxemburg_of_norms(norms: np.ndarray, weights: np.ndarray, gauge: GrowthFunc
             break
         nxt = 0.5 * lo[live]
         m = mod(live, nxt)
-        lo[live] = nxt
+        lo[live], mod_lo[live] = nxt, m
         feasible = ~(m > 1.0)
         live = live[feasible]
-        hi[live] = nxt[feasible]
-        mod_hi[live] = m[feasible]
+        hi[live], mod_hi[live] = nxt[feasible], m[feasible]
     # the modular stays <= 1 at every probed scale: the infimum is 0
     hi[live] = 0.0
-    # bisection; invariant: mod(lo) > 1 >= mod(hi) = mod_hi
-    live = np.flatnonzero(hi != 0.0)
-    while True:
-        live = live[hi[live] - lo[live] > 1e-13 * hi[live]]
-        if not live.size:
-            break
-        mid = 0.5 * (lo[live] + hi[live])
-        m = mod(live, mid)
-        feasible = m <= 1.0
-        hi[live[feasible]] = mid[feasible]
-        mod_hi[live[feasible]] = m[feasible]
-        lo[live[~feasible]] = mid[~feasible]
-        live = live[~(np.abs(mod_hi[live] - 1.0) <= _LUXEMBURG_TOL)]
+
+    # invariant: mod(lo) > 1 >= mod(hi), so the root of the nondecreasing
+    # -mod at level -1 is the norm; the residual at hi is 1 - mod(hi)
+    _false_position(lambda lam, rows: -mod(rows, lam), -1.0, lo, hi, -mod_lo, -mod_hi,
+                    np.flatnonzero(hi != 0.0), 1e-13, done=lambda r: np.abs(r) <= _LUXEMBURG_TOL)
     return hi.reshape(norms.shape[:-1])
 
 
@@ -198,7 +191,7 @@ def verify_norm_relations(
 
     # faithfulness: rescale a sample to norm = tol and bound its atoms
     probe = atom_norms((tol / norms[0]) * values[0])
-    envelope = np.array([gauge.inverse(1.0 / w) for w in space.weights])
+    envelope = gauge.inverse(1.0 / space.weights)
     faithful = float(np.max(probe / (tol * envelope)))
 
     passed = bool(

@@ -215,31 +215,64 @@ def test_psi_degenerate_for_saturating_transform():
     assert G.varphi_of(g, 2.0) == math.inf
 
 
+def scalar_false_position(f, level, lo, hi, f_lo, f_hi, rtol, floor=0.0, strict=False,
+                          done=None):
+    """One element of gauges._false_position replayed on scalars; returns
+    the kept hi end."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        w_lo, w_hi = np.float64(f_lo) - level, np.float64(f_hi) - level
+    r_hi, last_up, inward = w_hi, 0, False
+    while hi - lo > rtol * max(hi, floor):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            q = w_lo / (w_lo - w_hi)
+            x = lo + (hi - lo) * q
+        if not (0.0 < q < 1.0 and lo < x < hi):
+            inset = 0.5 * rtol * max(hi, floor)
+            if inward and (q >= 1.0 or x >= hi):
+                x = hi - inset
+            elif inward and (q <= 0.0 or x <= lo):
+                x = lo + inset
+            else:
+                x = 0.5 * (lo + hi)
+            inward = not inward
+        v = f(x)
+        with np.errstate(invalid="ignore", over="ignore"):
+            r = np.float64(v) - level
+        if v > level if strict else v >= level:
+            if last_up == 1:
+                w_lo *= 0.5
+            hi, r_hi, w_hi, last_up = x, r, r, 1
+        else:
+            if last_up == -1:
+                w_hi *= 0.5
+            lo, w_lo, last_up = x, r, -1
+        if done is not None and done(r_hi):
+            break
+    return float(hi)
+
+
 def _scalar_psi(gauge, t):
-    # the per-sample bisection the masked array psi replaced
+    # one element of the array psi: its bracket, then the refinement replayed
     phi = lambda s: G.phi_of(gauge, s)
     lo = hi = 1.0
-    if phi(1.0) >= t:
+    phi_lo = phi_hi = phi(1.0)
+    if phi_hi >= t:
         while True:
             lo *= 0.5
-            if phi(lo) < t:
+            phi_lo = phi(lo)
+            if phi_lo < t:
                 break
-            hi = lo
+            hi, phi_hi = lo, phi_lo
             if lo < 1e-30:
                 return 0.0
     else:
         while True:
             hi *= 2.0
-            if phi(hi) >= t:
+            phi_hi = phi(hi)
+            if phi_hi >= t:
                 break
-            lo = hi
-    while hi - lo > 1e-9 * hi:
-        mid = 0.5 * (lo + hi)
-        if phi(mid) >= t:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+            lo, phi_lo = hi, phi_hi
+    return scalar_false_position(phi, t, lo, hi, phi_lo, phi_hi, 1e-9)
 
 
 def _scalar_varphi(gauge, t):
@@ -254,14 +287,19 @@ _TRANSFORM_GAUGES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(_TRANSFORM_GAUGES))
-def test_array_transforms_equal_the_scalar_loop_bitwise(name):
-    g = _TRANSFORM_GAUGES[name]
+def _transform_grid(name):
     # t < 1 and t > 1 both, so lambda_0's psi reads 0 and its varphi inf
     x = np.array([0.03, 0.25, 0.5, 0.9, 1.0, 1.7, 2.0, 4.0, 11.0])
     if name.endswith("numeric"):
-        x = x[[1, 5, 7]]  # each numeric phi is a grid sup: keep the bisections few
-    grid = x.reshape(3, -1)
+        x = x[[1, 5, 7]]  # each numeric phi is a grid sup: keep the root searches few
+    return x.reshape(3, -1)
+
+
+@pytest.mark.parametrize("name", sorted(_TRANSFORM_GAUGES))
+def test_array_transforms_equal_the_scalar_loop_bitwise(name):
+    g = _TRANSFORM_GAUGES[name]
+    grid = _transform_grid(name)
+    x = grid.ravel()
     for transform, ref in ((G.phi_of, G.phi_of), (G.psi_of, _scalar_psi),
                            (G.varphi_of, _scalar_varphi)):
         want = np.array([ref(g, float(v)) for v in grid.ravel()]).reshape(grid.shape)
@@ -394,25 +432,18 @@ def test_complement_reads_nan_at_negative_arguments(name):
 
 
 def _scalar_right_inverse(a, u):
-    # the per-element bisection the array right inverse replaced
-    hi = 1.0
-    if float(a(np.float64(hi))) > u:
-        lo = 0.0
-    else:
-        while True:
-            lo, hi = hi, hi * 2.0
-            if float(a(np.float64(hi))) > u:
-                break
-    while hi - lo > 1e-13 * max(hi, 1.0):
-        mid = 0.5 * (lo + hi)
-        if float(a(np.float64(mid))) > u:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    # one element of the array right inverse: its bracket, then the refinement replayed
+    value = lambda s: float(a(np.float64(s)))
+    lo, hi = 0.0, 1.0
+    a_lo, a_hi = value(lo), value(hi)
+    while not a_hi > u:
+        lo, a_lo = hi, a_hi
+        hi *= 2.0
+        a_hi = value(hi)
+    return scalar_false_position(value, u, lo, hi, a_lo, a_hi, 1e-13, floor=1.0, strict=True)
 
 
-def test_right_inverse_matches_scalar_bisection():
+def test_right_inverse_matches_scalar_replay():
     g = G.get_gauge("power_log_2")
     atilde = G._right_inverse_of_derivative(g)
     u = np.array([0.0, 1e-9, 0.5, 3.0, 1e4])
@@ -475,12 +506,17 @@ def test_quad_with_per_interval_parameters_matches_one_call_each():
     assert_allclose(G._quad(lambda x, c: x * c, 0.0, 1.0, par=c), 0.5 * c, rtol=1e-15)
 
 
-def test_right_inverse_dense_rounds_equal_per_element_bisection_bitwise():
+def _right_inverse_levels():
+    """208 levels: edge values, two NaN, and 200 over e^-20..e^20."""
+    rng = np.random.default_rng(3)
+    return np.concatenate([[0.0, np.nan, 1e-9, 0.5, np.nan, 3.0, 1e4, 1e12],
+                           np.exp(rng.uniform(-20.0, 20.0, 200))])
+
+
+def test_right_inverse_equals_per_element_replay_bitwise():
     g = G.get_gauge("power_log_2")
     atilde = G._right_inverse_of_derivative(g)
-    rng = np.random.default_rng(3)
-    u = np.concatenate([[0.0, np.nan, 1e-9, 0.5, np.nan, 3.0, 1e4, 1e12],
-                        np.exp(rng.uniform(-20.0, 20.0, 200))])
+    u = _right_inverse_levels()
     want = np.array([np.nan if np.isnan(x) else _scalar_right_inverse(g.derivative, x)
                      for x in u])
     with warnings.catch_warnings():
@@ -488,6 +524,58 @@ def test_right_inverse_dense_rounds_equal_per_element_bisection_bitwise():
         got = atilde(u.reshape(8, -1))
     assert got.shape == (8, 26)
     assert got.ravel().tobytes() == want.tobytes()
+
+
+# Ceilings a little above what the refinement takes, so that a fallback to
+# bisection fails here and not only in the benchmark: psi takes 8 to 13
+# rounds per call on the transform grid (bisection about 30), the right
+# inverse 23 on its 208 levels (bisection 44), and the power_log_2
+# complement one quadrature round on 16 points (40 when it integrated in u)
+_PSI_ROUNDS, _RIGHT_INVERSE_ROUNDS, _COMPLEMENT_QUAD_ROUNDS = 14, 25, 2
+
+
+def test_root_and_quadrature_rounds_stay_under_their_ceilings(monkeypatch):
+    refine, quad = G._false_position, G._quad
+    roots, quads = [], []  # the rounds of each refinement, of each quadrature
+
+    def counted(f, log):
+        log.append(0)
+        k = len(log) - 1
+
+        def step(*args):
+            log[k] += 1
+            return f(*args)
+
+        return step
+
+    monkeypatch.setattr(G, "_false_position",
+                        lambda f, *args, **kwargs: refine(counted(f, roots), *args, **kwargs))
+    monkeypatch.setattr(G, "_quad", lambda f, a, b: quad(counted(f, quads), a, b))
+    for name, g in _TRANSFORM_GAUGES.items():
+        x = _transform_grid(name)
+        roots.clear()
+        G.psi_of(g, x)
+        G.varphi_of(g, x)
+        assert len(roots) == 2 and max(roots) <= _PSI_ROUNDS, (name, roots)
+    roots.clear()
+    G._right_inverse_of_derivative(G.get_gauge("power_log_2"))(_right_inverse_levels())
+    assert len(roots) == 1 and roots[0] <= _RIGHT_INVERSE_ROUNDS, roots
+    G.complementary_gauge(G.get_gauge("power_log_2"))(np.geomspace(0.05, 20.0, 16))
+    assert len(quads) == 1 and quads[0] <= _COMPLEMENT_QUAD_ROUNDS, quads
+
+
+@pytest.mark.parametrize("name", ["power_1_5", "power_log_2", "lambda_2", "exp_minus_one"])
+def test_gauge_inverse_on_arrays_equals_the_per_element_calls(name):
+    g = G.get_gauge(name)
+    y = np.array([[0.0, 1e-6, 0.3, 1.0], [2.0, 4.0, 1e3, -1.0]])
+    got = g.inverse(y)
+    want = np.array([g.inverse(float(v)) for v in y.ravel()])
+    assert got.shape == y.shape and got.tobytes() == want.tobytes()
+    assert type(g.inverse(2.0)) is float and g.inverse(0.0) == 0.0
+    assert (got[y <= 0.0] == 0.0).all() and (g(got[y > 0.0]) >= y[y > 0.0]).all()
+    # lambda_0 is bounded by 1: no upper bracket for a level above it
+    with pytest.raises(G.BracketError, match="no upper bracket"):
+        G.get_gauge("lambda_0").inverse(np.array([0.5, 2.0]))
 
 
 def test_complementary_rejects_non_n_functions():

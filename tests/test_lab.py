@@ -484,6 +484,14 @@ def test_orlicz_bdg_case_added_through_the_table_alone(monkeypatch):
     assert all(r.bound == 5.0 and r.slack_stderr > 0.0 for r in added[:18])
 
 
+def test_orlicz_bdg_case_gauge_outside_a2_is_refused(monkeypatch):
+    # every case's gauge is gated by its own class report, not lambda_2's alone
+    case = lab._BdgCase("sign_of_B1", "exp_minus_one", 5.0, 5.0)
+    monkeypatch.setattr(lab, "_BDG_CASES", (*lab._BDG_CASES, case))
+    with pytest.raises(LabError, match="exp_minus_one fails the operational A2 probe"):
+        small("orlicz_bdg", replicates=1024, grid_n=64)
+
+
 def test_degenerate_rows_pass_without_division():
     # rare tail events can leave both sides exactly zero; slack 0, so 0 <= 0 passes
     from orliczlab.stats import McEstimate, RatioReport
