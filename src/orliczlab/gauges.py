@@ -19,15 +19,16 @@ numpy: every piece of every interval is evaluated in one array call, a
 piece is accepted once its Kronrod and Gauss sums differ by at most its
 share of ``max(1e-12, 1e-10 * |integral|)``, and the others are halved.
 It takes an optional parameter per interval, so the kappa integral runs
-all its probe points in one call per step.  The numeric complement
-integrates in v = sqrt(u), where its square-root-like integrand is smooth.
+all its probe points in one call per step, each probe's chunk split at the
+lambda_alpha kink as a breakpoint.  The numeric complement integrates in
+v = sqrt(u), where its square-root-like integrand is smooth.
 
 Every inverse of the gauge layer (psi, the right inverse of the derivative,
 :meth:`GrowthFunction.inverse` and the Luxemburg norm in ``spaces``)
 brackets its root by doubling or halving, then narrows all brackets at once
-with one masked false-position routine, :func:`_false_position` (the
-Illinois variant).  phi, psi, varphi and the gauge inverse take arrays; a
-scalar gives a float.
+with one false-position routine, :func:`_false_position` (the Illinois
+variant), in dense rounds over the brackets still live.  phi, psi, varphi
+and the gauge inverse take arrays; a scalar gives a float.
 
 Class flags reported by :func:`classify_gauge` are measured on finite probe
 grids.  They are evidence, not proofs.
@@ -170,39 +171,48 @@ def _false_position(f: Callable, level, lo, hi, f_lo, f_hi, live, rtol: float,
     fallback to half the tolerance inside the end it fell on, so an exact
     hit ends one step later while a flat stretch still halves.  ``done(r)``,
     if given, ends an element after a step by the residual at its hi end.
+
+    The live elements' state is gathered once into dense arrays, stepped
+    with ``np.where``, and compacted only when an element retires (by width
+    or by ``done``); its bracket is then written back to lo and hi.
     """
-    level = np.broadcast_to(level, lo.shape)
+    level = np.broadcast_to(level, lo.shape)[live]
+    a, b = lo[live], hi[live]
     with np.errstate(invalid="ignore", over="ignore"):  # inf - inf is a NaN residual
-        w_lo, w_hi = f_lo - level, f_hi - level  # the residuals the secant uses
-    r_hi = w_hi.copy()  # and the true one at hi, for done
-    last_up = np.zeros(lo.shape, dtype=np.int8)  # 1: the last step moved hi, -1: lo
-    inward = np.zeros(lo.shape, dtype=bool)  # the next fallback steps in from its end
+        w_lo, w_hi = f_lo[live] - level, f_hi[live] - level  # the residuals the secant uses
+    r_hi = w_hi  # and the true one at hi, for done
+    last_up = np.zeros(live.shape, dtype=np.int8)  # 1: the last step moved hi, -1: lo
+    inward = np.zeros(live.shape, dtype=bool)  # the next fallback steps in from its end
+    keep = b - a > rtol * np.maximum(b, floor)
     while True:
-        live = live[hi[live] - lo[live] > rtol * np.maximum(hi[live], floor)]
+        if not keep.all():
+            lo[live[~keep]], hi[live[~keep]] = a[~keep], b[~keep]
+            live, level, a, b, w_lo, w_hi, r_hi, last_up, inward = (
+                v[keep] for v in (live, level, a, b, w_lo, w_hi, r_hi, last_up, inward))
         if not live.size:
             return
-        a, b = lo[live], hi[live]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            q = w_lo[live] / (w_lo[live] - w_hi[live])
+            q = w_lo / (w_lo - w_hi)
             x = a + (b - a) * q
         at_lo, at_hi = (q <= 0.0) | (x <= a), (q >= 1.0) | (x >= b)
         fell = ~((q > 0.0) & (q < 1.0) & (x > a) & (x < b))
         inset = 0.5 * rtol * np.maximum(b, floor)
         x = np.where(fell, 0.5 * (a + b), x)
-        x = np.where(fell & inward[live] & at_lo, a + inset, x)
-        x = np.where(fell & inward[live] & at_hi, b - inset, x)
-        inward[live] ^= fell
+        x = np.where(fell & inward & at_lo, a + inset, x)
+        x = np.where(fell & inward & at_hi, b - inset, x)
+        inward ^= fell
         v = f(x, live)
-        up = v > level[live] if strict else v >= level[live]
+        up = v > level if strict else v >= level
         with np.errstate(invalid="ignore", over="ignore"):
-            r = v - level[live]
-        w_lo[live[up & (last_up[live] == 1)]] *= 0.5
-        w_hi[live[~up & (last_up[live] == -1)]] *= 0.5
-        last_up[live] = np.where(up, 1, -1)
-        hi[live[up]], r_hi[live[up]], w_hi[live[up]] = x[up], r[up], r[up]
-        lo[live[~up]], w_lo[live[~up]] = x[~up], r[~up]
+            r = v - level
+        w_lo = np.where(up, np.where(last_up == 1, 0.5 * w_lo, w_lo), r)
+        w_hi = np.where(up, r, np.where(last_up == -1, 0.5 * w_hi, w_hi))
+        r_hi = np.where(up, r, r_hi)
+        a, b = np.where(up, a, x), np.where(up, x, b)
+        last_up = np.where(up, 1, -1)
+        keep = b - a > rtol * np.maximum(b, floor)
         if done is not None:
-            live = live[~done(r_hi[live])]
+            keep &= ~done(r_hi)
 
 
 # ---------------------------------------------------------------------------
@@ -225,18 +235,19 @@ def _power_log_eval(p: float) -> Callable:
 
 
 def _lambda_alpha_eval(alpha: float) -> Callable:
-    # t^alpha times the log factor, which is set to exactly 1 at and above
-    # the kink (dense passes: a boolean gather and scatter cost more); 0
-    # wherever t > 0 fails, NaN included
+    # t^alpha times the log factor 1/max(1, -log t), built in place as
+    # -1/min(-1, log t): log(_KINK) is exactly -1, so the factor is exactly 1
+    # at and above the kink (dense passes: a boolean gather and scatter cost
+    # more); 0 wherever t > 0 fails, NaN included
     def ev(t):
         t = np.asarray(t, dtype=float)
         out = np.empty(t.shape)
         factor = np.maximum(t, 1e-300, out=np.empty(t.shape))
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(invalid="ignore"):
             np.power(t, alpha, out=out)
-            np.log(factor, out=factor)
-            np.divide(-1.0, factor, out=factor)
-        np.copyto(factor, 1.0, where=~(t < _KINK))
+        np.log(factor, out=factor)
+        np.minimum(factor, -1.0, out=factor)
+        np.divide(-1.0, factor, out=factor)
         out *= factor
         np.copyto(out, 0.0, where=~(t > 0.0))
         return out
@@ -648,19 +659,25 @@ def kappa_probe(gauge: GrowthFunction) -> float | None:
     """Worst ratio of int_0^1 L(s t)/s^2 ds to L(t) over 13 geometric t in [1e-3, 1e3].
 
     The integral is computed under s = e^-u, doubling the upper limit until
-    the last chunk contributes less than 1e-8 of the running total.
-    Returns None when the integral fails to converge by u = 512, or when
-    the gauge vanishes at a probe t.
+    the last chunk contributes less than 1e-8 of the running total.  Each
+    probe t's chunk is split at u = 1 + ln t (clipped to the chunk), where
+    t e^-u crosses the lambda_alpha kink, and both halves go to one
+    :func:`_quad` call, so no round is spent locating the kink.  Returns
+    None when the integral fails to converge by u = 512, or when the gauge
+    vanishes at a probe t.
     """
     t = np.geomspace(1e-3, 1e3, 13)
     integrand = lambda u, t: gauge(t * np.exp(-u)) * np.exp(u)
+    kink_u = 1.0 + np.log(t)
     total = np.zeros(t.shape)
     live = np.arange(t.size)
     lo, hi = 0.0, 4.0
     while live.size:  # every probe t still live integrates this chunk in one call
         if hi > 512.0:
             return None
-        chunk = _quad(integrand, lo, hi, par=t[live])
+        cut = np.clip(kink_u[live], lo, hi)
+        edges = np.stack([np.full(cut.shape, lo), cut, np.full(cut.shape, hi)])
+        chunk = _quad(integrand, edges[:-1], edges[1:], par=t[live]).sum(axis=0)
         total[live] += chunk
         if lo > 0.0:
             live = live[~(chunk <= 1e-8 * total[live])]

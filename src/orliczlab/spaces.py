@@ -141,10 +141,18 @@ class NormRelationReport:
     passed: bool
 
 
+# Grid points per phi call in the quasi-triangle search.
+_ALPHA_CHUNK = 64
+
+
 def _alpha_star(gauge: GrowthFunction, grid: np.ndarray) -> float:
-    for alpha in grid:
-        if 2.0 * phi_of(gauge, 2.0 / alpha) <= 1.0:
-            return float(alpha)
+    """The first alpha of ``grid`` with 2 phi(2/alpha) <= 1, taking phi over
+    ``_ALPHA_CHUNK`` grid points per call (a numeric phi is a grid sup per point)."""
+    for start in range(0, grid.size, _ALPHA_CHUNK):
+        chunk = grid[start:start + _ALPHA_CHUNK]
+        met = np.flatnonzero(2.0 * phi_of(gauge, 2.0 / chunk) <= 1.0)
+        if met.size:
+            return float(chunk[met[0]])
     raise BracketError("no quasi-triangle constant found on the probe grid")
 
 
@@ -169,7 +177,10 @@ def verify_norm_relations(
     atom_norms = lambda v: np.linalg.norm(v, axis=-1)
     # vecdot reduces each row as np.dot does one vector, bit for bit
     modulars = lambda v: np.vecdot(gauge(atom_norms(v)), space.weights)
-    norms = luxemburg_of_norms(atom_norms(values), space.weights, gauge)
+    # the samples and their consecutive sums in one search: rows are independent
+    both = luxemburg_of_norms(atom_norms(np.concatenate([values, values[:-1] + values[1:]])),
+                              space.weights, gauge)
+    norms, sum_norms = both[:n_samples], both[n_samples:]
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
         # the gauge saturates below modular 1 on this space: no scale of f
@@ -178,7 +189,6 @@ def verify_norm_relations(
             f"norm relations: nonzero sample {zero[0]} has Luxemburg norm 0 under"
             f" {gauge.label} on weights {space.weights.tolist()}"
         )
-    sum_norms = luxemburg_of_norms(atom_norms(values[:-1] + values[1:]), space.weights, gauge)
     mods = modulars(values)
 
     unit_ball = float(modulars((1.0 / norms)[:, None, None] * values).max(initial=0.0))

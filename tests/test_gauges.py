@@ -106,17 +106,41 @@ def _masked_lambda_alpha(t, alpha):
     return out
 
 
+def _copyto_lambda_alpha(t, alpha):
+    # the dense form with the factor -1/log t reset to 1 by copyto at the kink
+    t = np.asarray(t, dtype=float)
+    out = np.empty(t.shape)
+    factor = np.maximum(t, 1e-300, out=np.empty(t.shape))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.power(t, alpha, out=out)
+        np.log(factor, out=factor)
+        np.divide(-1.0, factor, out=factor)
+    np.copyto(factor, 1.0, where=~(t < KINK))
+    out *= factor
+    np.copyto(out, 0.0, where=~(t > 0.0))
+    return out
+
+
 def test_lambda_alpha_dense_matches_masked_form():
-    edge = np.array([0.0, -0.0, -1.0, np.nan, np.inf, -np.inf, 5e-324, 1e-300,
+    # the in-place factor 1/max(1, -log t) is exactly 1 at and above the kink
+    # because log(KINK) is exactly -1; both earlier forms give the same bits,
+    # edge points as 0-d inputs included
+    assert np.log(KINK) == -1.0
+    edge = np.array([0.0, -0.0, -1.0, np.nan, np.inf, -np.inf, 5e-324, 1e-310, 1e-300,
                      np.nextafter(KINK, 0.0), KINK, np.nextafter(KINK, 1.0), 1e150])
     rng = np.random.default_rng(5)
-    t = np.concatenate([edge, rng.uniform(-0.5, 3.0, 50_000),
-                        np.exp(rng.uniform(-745.0, 40.0, 5000))])
-    for alpha in (0.0, 0.5, 1.0, 2.0):
+    t = np.concatenate([edge, rng.uniform(-0.5, 3.0, 50_000), np.exp(rng.uniform(-745.0, 40.0, 5000)),
+                        KINK * (1.0 + rng.uniform(-1e-12, 1e-12, 20_000))])
+    for alpha in (0.0, 0.5, 1.0, 2.0, 3.0):
         g = G.make_gauge("lambda_alpha", alpha=alpha)
-        with np.errstate(divide="raise", over="raise", invalid="raise"):  # no new warning
+        # no new warning; t^3 overflows at t = 1e150 in every form
+        with np.errstate(divide="raise", over="raise" if alpha < 3.0 else "ignore", invalid="raise"):
             got = g(t)
-        assert got.tobytes() == _masked_lambda_alpha(t, alpha).tobytes()
+        with np.errstate(over="ignore"):
+            assert got.tobytes() == _masked_lambda_alpha(t, alpha).tobytes()
+            assert got.tobytes() == _copyto_lambda_alpha(t, alpha).tobytes()
+            for point in edge:
+                assert g(np.float64(point)).tobytes() == _copyto_lambda_alpha(point, alpha).tobytes()
 
 
 def test_lambda_zero_is_bounded():
@@ -215,14 +239,14 @@ def test_psi_degenerate_for_saturating_transform():
     assert G.varphi_of(g, 2.0) == math.inf
 
 
-def scalar_false_position(f, level, lo, hi, f_lo, f_hi, rtol, floor=0.0, strict=False,
-                          done=None):
+def scalar_bracket(f, level, lo, hi, f_lo, f_hi, rtol, floor=0.0, strict=False, done=None):
     """One element of gauges._false_position replayed on scalars; returns
-    the kept hi end."""
+    its final (lo, hi) and the number of steps it took."""
     with np.errstate(invalid="ignore", over="ignore"):
         w_lo, w_hi = np.float64(f_lo) - level, np.float64(f_hi) - level
-    r_hi, last_up, inward = w_hi, 0, False
+    r_hi, last_up, inward, steps = w_hi, 0, False, 0
     while hi - lo > rtol * max(hi, floor):
+        steps += 1
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             q = w_lo / (w_lo - w_hi)
             x = lo + (hi - lo) * q
@@ -248,7 +272,46 @@ def scalar_false_position(f, level, lo, hi, f_lo, f_hi, rtol, floor=0.0, strict=
             lo, w_lo, last_up = x, r, -1
         if done is not None and done(r_hi):
             break
-    return float(hi)
+    return float(lo), float(hi), steps
+
+
+def scalar_false_position(*args, **kwargs):
+    """The kept hi end of :func:`scalar_bracket`."""
+    return scalar_bracket(*args, **kwargs)[1]
+
+
+# one element per path of the refinement, each (f, level, lo, hi): a cube; an
+# exact first secant hit; a jump, whose residual at hi never falls below 0.3;
+# exp from an infinite hi residual; log from a -inf lo residual
+_BRACKET_CASES = (
+    (lambda x: x**3, 2.0, 0.0, 4.0),
+    (lambda x: x, 1.0, 0.0, 2.0),
+    (lambda x: 1.0 + 0.5 * (x >= 1.3), 1.2, 0.0, 2.0),
+    (lambda x: np.exp(x) if x < 8.0 else np.inf, 10.0, 0.0, 16.0),
+    (np.log, 1.0, 0.0, 5.0),
+)
+
+
+@pytest.mark.parametrize("done", [None, lambda r: np.abs(r) <= 1e-9])
+def test_false_position_retires_each_element_as_its_scalar_replay(done):
+    fs = [case[0] for case in _BRACKET_CASES]
+    level, lo, hi = (np.array([case[k] for case in _BRACKET_CASES] + [7.0]) for k in (1, 2, 3))
+    f = lambda x, idx: np.array([fs[i](v) for i, v in zip(idx, x)])
+    live = np.arange(len(fs))  # the last element is not live and keeps its bracket
+    with np.errstate(divide="ignore", over="ignore"):
+        f_lo, f_hi = (np.append(f(ends[live], live), 7.0) for ends in (lo, hi))
+        want = [scalar_bracket(fs[i], level[i], lo[i], hi[i], f_lo[i], f_hi[i], 1e-12,
+                               done=done) for i in live]
+        G._false_position(f, level, lo, hi, f_lo, f_hi, live, 1e-12, done=done)
+    assert lo.tobytes() == np.array([w[0] for w in want] + [7.0]).tobytes()
+    assert hi.tobytes() == np.array([w[1] for w in want] + [7.0]).tobytes()
+    steps = [w[2] for w in want]
+    assert len(set(steps)) >= 4, steps  # the elements retire at different rounds
+    wide = hi - lo > 1e-12 * hi
+    if done is None:
+        assert not wide.any()
+    else:  # the cube ends by its residual, the jump by its width
+        assert wide[0] and wide[1] and not wide[2], (lo, hi)
 
 
 def _scalar_psi(gauge, t):
@@ -689,6 +752,34 @@ def test_classify_gauge_pins_every_registry_report(name):
     else:
         assert r.kappa_value == pytest.approx(kappa, rel=1e-14, abs=0.0)
         assert r.kappa_A2 in (None, r.kappa_value)
+
+
+# kappa_probe splits each chunk at the lambda_alpha kink, so on u <= 8 (its
+# first two chunks) no quadrature takes more rounds than this; without the
+# split the lambda gauges take 22 to 27
+_KAPPA_QUAD_ROUNDS = 3
+
+
+@pytest.mark.parametrize("name", sorted(name for name, pins in _CLASS_PINS.items() if pins[0]))
+def test_kappa_quadrature_rounds_stay_under_their_ceiling(monkeypatch, name):
+    # every gauge the classifier probes (the A0 ones)
+    quad, rounds = G._quad, []
+
+    def counted(f, a, b, par=None):
+        n = [0]
+
+        def step(*args):
+            n[0] += 1
+            return f(*args)
+
+        out = quad(step, a, b, par=par)
+        rounds.append((float(np.max(b)), n[0]))
+        return out
+
+    monkeypatch.setattr(G, "_quad", counted)
+    G.kappa_probe(G.get_gauge(name))
+    early = [n for top, n in rounds if top <= 8.0]
+    assert len(early) == 2 and max(early) <= _KAPPA_QUAD_ROUNDS, rounds
 
 
 def test_classification_invariants():

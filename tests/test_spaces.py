@@ -293,6 +293,46 @@ def test_alpha_star_power2_closed_form(space4):
     assert report.alpha_star >= 2.0 * 2.0**0.5 - 1e-12
 
 
+@pytest.mark.parametrize("name", ["power_1_5", "lambda_2"])
+def test_norm_relations_equal_two_separate_luxemburg_searches(monkeypatch, space4, name):
+    # the samples and their consecutive sums share one search; a row's norm
+    # does not depend on the rows searched with it
+    gauge, n = G.get_gauge(name), 64
+    joint = S.verify_norm_relations(space4, gauge, n_samples=n, seed=30)
+    lux, calls = S.luxemburg_of_norms, []
+
+    def two_searches(norms, weights, g):
+        calls.append(norms.shape[0])
+        return np.concatenate([lux(norms[:n], weights, g), lux(norms[n:], weights, g)])
+
+    monkeypatch.setattr(S, "luxemburg_of_norms", two_searches)
+    assert repr(S.verify_norm_relations(space4, gauge, n_samples=n, seed=30)) == repr(joint)
+    assert calls == [2 * n - 1]
+
+
+def _scalar_alpha_star(gauge, grid):
+    for alpha in grid:
+        if 2.0 * G.phi_of(gauge, 2.0 / alpha) <= 1.0:
+            return float(alpha)
+    return None
+
+
+@pytest.mark.parametrize("name", ["power_1_5", "power_2", "power_log_2", "lambda_1", "lambda_2",
+                                  "power_2_numeric"])
+def test_alpha_star_equals_the_scalar_loop(name):
+    if name.endswith("numeric"):
+        gauge = dataclasses.replace(G.get_gauge("power_2"), _phi_closed=None)
+    else:
+        gauge = G.get_gauge(name)
+    grid = np.geomspace(2.0, 512.0, 768)
+    got = S._alpha_star(gauge, grid)
+    assert type(got) is float and got == _scalar_alpha_star(gauge, grid)
+    # a grid whose first match lies in a later chunk
+    assert S._alpha_star(gauge, np.concatenate([np.full(100, 2.0), grid])) == got
+    with pytest.raises(G.BracketError, match="no quasi-triangle constant"):
+        S._alpha_star(gauge, grid[: grid.searchsorted(got)])
+
+
 def test_norm_relations_reject_a_zero_norm():
     # lambda_0 saturates below modular 1 on a space of mass 1/2: every
     # nonzero sample has Luxemburg norm 0, which must fail by name
